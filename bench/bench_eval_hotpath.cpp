@@ -163,12 +163,12 @@ void print_table(bool quick) {
   // evaluation, and the bench exits non-zero (the speedup number would be
   // meaningless).
   //
-  // The A/B runs its own case list: delta replay only serves intra-island
-  // flows, so its reuse rate is bounded by the intra/cross flow mix — low
-  // island counts are the representative regime (at 7+ islands most flows
-  // cross islands and the delta evaluator correctly sits out). The gated
-  // delta_reuse_rate tracks THIS list; the table above keeps the historical
-  // per-candidate case list.
+  // The A/B runs its own case list (low island counts, the list the delta
+  // gates were first measured on): intra-island flows replay, cross-island
+  // flows replay when the cross-island certificate proves the intermediate
+  // VI cannot beat the recorded route, and members whose every flow
+  // replays are skipped whole. The gated delta_reuse_rate tracks THIS
+  // list; the table above keeps the historical per-candidate case list.
   std::vector<SweepSetup> synth_cases;
   {
     const soc::Benchmark d26 = soc::make_d26_media_soc();

@@ -221,6 +221,11 @@ struct CampaignResult {
   [[nodiscard]] bool interrupted() const {
     return metrics.value("interrupted") != 0;
   }
+  /// Delta group members proven identical to their reference before
+  /// routing (see core::SynthesisStats::delta_members_skipped).
+  [[nodiscard]] int delta_members_skipped() const {
+    return static_cast<int>(metrics.value("delta_members_skipped"));
+  }
 
   /// Fraction of delta-eligible flows served without a live Dijkstra
   /// (also stored as the registry gauge "delta_reuse_rate").

@@ -404,6 +404,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       shard.add("delta_flows_certified", set_stats.delta_flows_certified);
       shard.add("delta_flows_rerouted", set_stats.delta_flows_rerouted);
       shard.add("delta_cert_rejects", set_stats.delta_cert_rejects);
+      shard.add("delta_members_skipped", set_stats.delta_members_skipped);
     }
     const double wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
@@ -459,6 +460,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   out.metrics.add("interrupted",
                   options.cancel != nullptr && options.cancel->cancelled() ? 1
                                                                            : 0);
+  out.metrics.add("delta_members_skipped", acc.value("delta_members_skipped"));
   out.metrics.set_gauge("delta_reuse_rate", out.delta_reuse_rate());
   out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t_start)

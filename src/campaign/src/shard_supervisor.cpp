@@ -106,7 +106,7 @@ constexpr const char* kSummedCounters[] = {
     "delta_flows_certified", "delta_flows_rerouted",
     "delta_cert_rejects", "retries",
     "recovered_records",  "evicted_records",
-    "store_write_errors",
+    "store_write_errors", "delta_members_skipped",
 };
 
 }  // namespace
@@ -535,6 +535,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   m.add("evicted_records", summed.value("evicted_records"));
   m.add("store_write_errors", summed.value("store_write_errors"));
   m.add("interrupted", cancelled() ? 1 : 0);
+  m.add("delta_members_skipped", summed.value("delta_members_skipped"));
   // Sharding counters (this PR) — appended after every pre-existing one.
   m.add("shards", plan.shards());
   m.add("workers_spawned", workers_spawned);

@@ -203,10 +203,16 @@ class EvalScratchPool {
 ///
 /// `delta_record` / `delta` opt into the candidate-level delta evaluator
 /// (see route_all_flows): a group REFERENCE evaluation records its routed
-/// hop sequences into `delta_record` (pure observation); an adjacent
-/// MEMBER evaluation replays them via `delta`, re-routing only the flows
-/// the config diff can affect. Either way the outcome is bit-identical to
-/// a plain evaluation of the same candidate.
+/// hop sequences into `delta_record` (pure observation) and, when it has no
+/// intermediate switches and routes every flow, publishes its outcome there
+/// too — a reference pruned mid-routing finishes an unbounded routing for
+/// that, while still returning its pruned outcome. An adjacent MEMBER
+/// evaluation replays the records via `delta`, re-routing only the flows
+/// the config diff can affect; a member that certify_delta_member() proves
+/// identical before routing returns a copy of the published outcome with
+/// its own pre-routing bound checkpoint (set_delta_cert_forced re-derives
+/// it by full evaluation instead). Either way the outcome is bit-identical
+/// to a plain evaluation of the same candidate.
 [[nodiscard]] CandidateOutcome evaluate_candidate(const EvalContext& ctx,
                                                   const CandidateConfig& cand,
                                                   EvalScratch* scratch = nullptr,

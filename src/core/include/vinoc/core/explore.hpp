@@ -90,6 +90,7 @@ struct WidthSetStats {
   long long delta_flows_certified = 0;
   long long delta_flows_rerouted = 0;
   int delta_cert_rejects = 0;
+  int delta_members_skipped = 0;
 
   /// Share of non-leader (candidate, width) results served from a shared
   /// structure; 0 when the sweep had no followers.

@@ -25,6 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@
 namespace vinoc::core {
 
 class ParetoBound;
+struct CandidateOutcome;  // vinoc/core/candidates.hpp
 
 struct RouterOptions {
   /// Weight of the power term vs. the latency term in the link cost.
@@ -207,6 +210,11 @@ struct DeltaHop {
 /// flow's endpoints share a switch (nothing to replay).
 struct DeltaRouteRec {
   std::vector<DeltaHop> hops;
+  /// The reference Dijkstra's exact distance of the destination switch —
+  /// the input of the cross-island certificate (see route_all_flows). NaN
+  /// (never certifies) unless the flow was routed live over a topology
+  /// without intermediate switches.
+  double dist = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Recording of a REFERENCE candidate's pass-1 routing, consumed by the
@@ -221,13 +229,21 @@ struct DeltaReference {
   std::vector<DeltaRouteRec> records;  ///< by routing-order position (prefix)
   double p_norm = 0.0;
   bool valid = false;  ///< pass-1 routing ran with recording attached
+  /// The reference's finished routed evaluation, set by evaluate_candidate
+  /// when a reference without intermediate switches routed every flow (a
+  /// reference pruned mid-routing finishes an unbounded routing for it).
+  /// A member proven to replay every flow (certify_delta_member) returns a
+  /// copy instead of routing. Read-only once published.
+  std::shared_ptr<const CandidateOutcome> outcome;
 };
 
 /// Per-evaluation state of a delta (route-reuse) routing run; see
 /// route_all_flows. `ref` is the input; everything else is output counters
-/// and router-managed scratch. The router classifies each flow: intra-
-/// island flows of an island whose state is still IN SYNC with the
-/// reference's are replayed from the record (flows_reused; or, under
+/// and router-managed scratch. The router classifies each flow: flows
+/// whose islands are still IN SYNC with the reference's — intra-island
+/// flows, and in pass 1 cross-island flows whose recorded distance the
+/// cross-island certificate proves unbeaten by any path through the
+/// intermediate VI — are replayed from the record (flows_reused; or, under
 /// set_delta_cert_forced, re-derived by their own solo Dijkstra and
 /// verified against it — flows_certified); everything else routes live
 /// (flows_rerouted), and a live cross-island route whose hop sequence
@@ -239,6 +255,10 @@ struct DeltaRouteState {
   /// reference's, so replay was armed (always inspect before reading the
   /// counters as a reuse rate).
   bool pnorm_matched = false;
+  /// Output: the whole member was proven identical to the reference before
+  /// routing (certify_delta_member) — counted under forced mode too, where
+  /// the skip is re-derived by a full evaluation instead of taken.
+  bool member_skipped = false;
   int flows_reused = 0;     ///< replayed from the record, no Dijkstra
   int flows_certified = 0;  ///< forced-certificate mode: verified replays
   int flows_rerouted = 0;   ///< routed live (affected or tainted)
@@ -246,6 +266,16 @@ struct DeltaRouteState {
   /// Router-managed scratch (reset per pass, buffers reused).
   std::vector<char> island_tainted;
   std::vector<DeltaHop> actual_hops;
+
+  /// Zeroes every output field (not `ref` or the scratch).
+  void clear_outputs() {
+    pnorm_matched = false;
+    member_skipped = false;
+    flows_reused = 0;
+    flows_certified = 0;
+    flows_rerouted = 0;
+    cert_rejects = 0;
+  }
 };
 
 /// Cost-bound pruning input for one routing call (see vinoc/core/prune.hpp).
@@ -313,19 +343,35 @@ struct RouteOutcome {
 /// captured into it (routing results are unchanged). `delta` (optional)
 /// replays such a recording on an ADJACENT candidate of the same
 /// enumeration group: flows whose admissible structure is untouched by the
-/// config diff (intra-island flows, while their island's incremental state
-/// is proven in sync with the reference's) reuse the recorded route
-/// without a Dijkstra; affected flows (cross-island, or on a tainted
-/// island) route live. Results are bit-identical to a run without `delta`
-/// — replay is sound exactly because, per island, the router's state
-/// equals the reference's at the same routing position until a diverging
-/// live route taints it (see README).
+/// config diff reuse the recorded route without a Dijkstra — intra-island
+/// flows while their island's incremental state is proven in sync with the
+/// reference's, and (pass 1) cross-island flows between in-sync islands
+/// while no link touches the intermediate VI, when the recorded distance
+/// is strictly below a closed-form lower bound on every path through the
+/// intermediate VI (see README). Affected flows route live. Results are
+/// bit-identical to a run without `delta` — replay is sound exactly
+/// because, per island, the router's state equals the reference's at the
+/// same routing position until a diverging live route taints it.
 RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                              const RouterOptions& options,
                              RouterScratch* scratch = nullptr,
                              const RouteBound* bound = nullptr,
                              DeltaReference* record = nullptr,
                              DeltaRouteState* delta = nullptr);
+
+/// Whole-member certificate of delta evaluation, checked BEFORE routing:
+/// true when `delta.ref` recorded every flow of a fully routed pass 1, the
+/// power normalizers are bit-equal and every cross-island flow passes the
+/// cross-island certificate on `topo`'s unrouted geometry. The bound does
+/// not depend on routing state, so by induction over the flow order
+/// route_all_flows(topo, ..., &delta) would replay every flow and produce
+/// the reference's routing exactly. On success the outputs of `delta` are
+/// set as that replay would set them, plus member_skipped; on failure they
+/// are left untouched.
+[[nodiscard]] bool certify_delta_member(const NocTopology& topo,
+                                        const soc::SocSpec& spec,
+                                        const RouterOptions& options,
+                                        DeltaRouteState& delta);
 
 /// route_all_flows() for the LEADER width of `options` while verifying, per
 /// routing decision, that every lane in `lanes` would decide identically
@@ -381,12 +427,14 @@ bool set_router_simd_enabled(bool enabled);
 /// Runtime toggle forcing the delta evaluator to VERIFY every would-be
 /// replay with the flow's own full solo Dijkstra (the route-equivalence
 /// certificate, sharing Router::choose_hop with the width-lane
-/// certificates) instead of trusting the in-sync proof: a reuse whose
-/// certified path differs from the record is rejected — the island taints
-/// and the certified path is used, so results stay bit-identical either
-/// way. This trades away the entire delta speedup for a per-flow runtime
-/// check of the soundness argument; tests and the A/B harness flip it on.
-/// Returns the previous value.
+/// certificates) instead of trusting the in-sync proof or the cross-island
+/// bound: a reuse whose certified path differs from the record is rejected
+/// — the islands taint and the certified path is used, so results stay
+/// bit-identical either way. Every whole-member skip is likewise re-derived
+/// by a full evaluation (evaluate_candidate) and compared; a mismatch also
+/// counts as a reject and keeps the evaluated result. This trades away the
+/// entire delta speedup for a runtime check of the soundness argument;
+/// tests and the A/B harness flip it on. Returns the previous value.
 bool set_delta_cert_forced(bool enabled);
 [[nodiscard]] bool delta_cert_forced();
 

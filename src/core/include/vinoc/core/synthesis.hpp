@@ -176,12 +176,16 @@ struct SynthesisStats {
   /// flows routed live because the config diff could affect them
   /// (`delta_flows_rerouted`). `delta_cert_rejects` counts forced-
   /// certificate mismatches (expected 0; a reject falls back to the
-  /// certified path, preserving bit-identity).
+  /// certified path, preserving bit-identity). `delta_members_skipped`
+  /// counts members proven identical to their reference before routing,
+  /// whose outcome is a copy of the reference's (their non-trivial flows
+  /// count as reused).
   int delta_candidates = 0;
   long long delta_flows_reused = 0;
   long long delta_flows_certified = 0;
   long long delta_flows_rerouted = 0;
   int delta_cert_rejects = 0;
+  int delta_members_skipped = 0;
   /// Fraction of delta-eligible flows served without a live Dijkstra.
   [[nodiscard]] double delta_reuse_rate() const {
     const long long reused = delta_flows_reused + delta_flows_certified;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "eval_internal.hpp"
 #include "vinoc/core/deadlock.hpp"
@@ -30,6 +32,78 @@ bool has_cross_island_flows(const soc::SocSpec& spec) {
     }
   }
   return false;
+}
+
+/// Routes `out.point.topology` (switches placed, links empty) and finishes
+/// the evaluation: status, last bound checkpoint, compaction, signature,
+/// deadlock check, intermediate refinement and metrics.
+void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
+                      const RouterOptions& ropts, EvalScratch* scratch,
+                      const RouteBound* rbound, double base_avg_lat,
+                      DeltaReference* delta_record, DeltaRouteState* delta) {
+  const RouteOutcome outcome = [&] {
+    OBS_SPAN("route_flows");
+    const obs::PhaseScope obs_phase(obs::Phase::kRoute);
+    return route_all_flows(out.point.topology, ctx.spec, ropts,
+                           scratch != nullptr ? &scratch->router : nullptr,
+                           rbound, delta_record, delta);
+  }();
+  if (outcome.pruned) {
+    out.status = EvalStatus::kPruned;
+    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
+    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
+    return;
+  }
+  if (!outcome.success) {
+    out.status = outcome.latency_violation ? EvalStatus::kRejectedLatency
+                                           : EvalStatus::kRejectedUnroutable;
+    return;
+  }
+  out.status = EvalStatus::kRouted;
+  if (rbound != nullptr) {
+    // Record the LAST bound checkpoint of this evaluation: the router's
+    // per-flow bounds when they were active, else the pre-routing floor
+    // (the only checkpoint of a fallback-gated pass). The trajectory does
+    // not depend on which front was consulted, so the merge stage can
+    // re-check these values against the enumeration-ordered front and
+    // decide exactly what a sequential run would have decided.
+    out.pruned_power_lb_w =
+        outcome.bound_checked ? outcome.pruned_power_lb_w : rbound->base_power_lb_w;
+    out.pruned_latency_lb_cycles =
+        outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
+  }
+  // The router may leave some offered intermediate switches unused; drop
+  // them so designs deduplicate cleanly across k_int values (several k_int
+  // can collapse onto the same effective design).
+  out.point.intermediate_switches =
+      detail::compact_unused_intermediate(out.point.topology);
+  out.signature = detail::design_signature(out.point.topology);
+  out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
+                      is_deadlock_free(out.point.topology);
+  if (!out.deadlock_free) return;  // merge rejects it; skip the metrics
+  detail::refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec,
+                                        scratch);
+  OBS_SPAN("compute_metrics");
+  const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
+  out.point.metrics =
+      compute_metrics(out.point.topology, ctx.spec, ctx.options.tech,
+                      ctx.options.link_width_bits,
+                      scratch != nullptr ? &scratch->metrics : nullptr);
+}
+
+/// The forced-mode comparison of a whole-member skip against the full
+/// evaluation: status, design signature, deadlock verdict and metrics.
+bool same_routed_outcome(const CandidateOutcome& a, const CandidateOutcome& b) {
+  auto metrics = [](const Metrics& m) {
+    return std::tie(m.noc_dynamic_w, m.switch_dynamic_w, m.link_dynamic_w,
+                    m.ni_dynamic_w, m.fifo_dynamic_w, m.noc_leakage_w,
+                    m.noc_area_mm2, m.avg_latency_cycles, m.max_latency_cycles,
+                    m.total_wire_mm, m.switch_count, m.link_count, m.fifo_count,
+                    m.max_switch_ports);
+  };
+  return a.status == b.status && a.signature == b.signature &&
+         a.deadlock_free == b.deadlock_free &&
+         metrics(a.point.metrics) == metrics(b.point.metrics);
 }
 
 }  // namespace
@@ -418,6 +492,7 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     faultinject::maybe_fail(faultinject::Site::kEval, "evaluate_candidate");
     faultinject::maybe_stall(faultinject::Site::kEvalStall);
   }
+  if (delta != nullptr) delta->clear_outputs();  // even if pruned pre-routing
   CandidateOutcome out;
   out.point.switches_per_island = cand.switches_per_island;
   out.point.intermediate_switches = cand.intermediate_switches;
@@ -490,56 +565,49 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
             : ctx.island_params[static_cast<std::size_t>(isl)].max_sw_size;
   }
 
-  const RouteOutcome outcome = [&] {
-    OBS_SPAN("route_flows");
-    const obs::PhaseScope obs_phase(obs::Phase::kRoute);
-    return route_all_flows(out.point.topology, ctx.spec, ropts,
-                           scratch != nullptr ? &scratch->router : nullptr,
-                           bound != nullptr ? &rbound : nullptr, delta_record,
-                           delta);
-  }();
-  if (outcome.pruned) {
-    out.status = EvalStatus::kPruned;
-    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
-    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
-    return out;
+  // Whole-member skip: a member proven to replay every flow of its
+  // reference routes, compacts and measures exactly like it, so its outcome
+  // IS the reference's, except for its own pre-routing bound checkpoint
+  // (the only one of its pass 1, which is fallback-gated because the
+  // member has intermediate switches). Forced mode evaluates in full and
+  // compares instead.
+  std::shared_ptr<const CandidateOutcome> proven;
+  if (delta != nullptr && delta->ref != nullptr &&
+      delta->ref->outcome != nullptr && cand.intermediate_switches > 0 &&
+      certify_delta_member(out.point.topology, ctx.spec, ropts, *delta)) {
+    proven = delta->ref->outcome;
+    if (!delta_cert_forced()) {
+      CandidateOutcome skipped = *proven;
+      skipped.pruned_power_lb_w = bound != nullptr ? rbound.base_power_lb_w : 0.0;
+      skipped.pruned_latency_lb_cycles = bound != nullptr ? base_avg_lat : 0.0;
+      return skipped;
+    }
   }
-  if (!outcome.success) {
-    out.status = outcome.latency_violation ? EvalStatus::kRejectedLatency
-                                           : EvalStatus::kRejectedUnroutable;
-    return out;
+
+  route_and_finish(ctx, out, ropts, scratch, bound != nullptr ? &rbound : nullptr,
+                   base_avg_lat, delta_record, delta);
+  if (proven != nullptr) {
+    delta->member_skipped = true;
+    if (!same_routed_outcome(out, *proven)) ++delta->cert_rejects;
   }
-  out.status = EvalStatus::kRouted;
-  if (bound != nullptr) {
-    // Record the LAST bound checkpoint of this evaluation: the router's
-    // per-flow bounds when they were active, else the pre-routing floor
-    // (the only checkpoint of a fallback-gated pass). The trajectory does
-    // not depend on which front was consulted, so the merge stage can
-    // re-check these values against the enumeration-ordered front and
-    // decide exactly what a sequential run would have decided.
-    out.pruned_power_lb_w =
-        outcome.bound_checked ? outcome.pruned_power_lb_w : rbound.base_power_lb_w;
-    out.pruned_latency_lb_cycles =
-        outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
-  }
-  // The router may leave some offered intermediate switches unused; drop
-  // them so designs deduplicate cleanly across k_int values (several k_int
-  // can collapse onto the same effective design).
-  out.point.intermediate_switches =
-      detail::compact_unused_intermediate(out.point.topology);
-  out.signature = detail::design_signature(out.point.topology);
-  out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
-                      is_deadlock_free(out.point.topology);
-  if (!out.deadlock_free) return out;  // merge rejects it; skip the metrics
-  detail::refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec,
-                                        scratch);
-  {
-    OBS_SPAN("compute_metrics");
-    const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
-    out.point.metrics =
-        compute_metrics(out.point.topology, ctx.spec, ctx.options.tech,
-                        ctx.options.link_width_bits,
-                        scratch != nullptr ? &scratch->metrics : nullptr);
+  if (delta_record != nullptr && cand.intermediate_switches == 0) {
+    if (out.status == EvalStatus::kRouted) {
+      delta_record->outcome = std::make_shared<const CandidateOutcome>(out);
+    } else if (out.status == EvalStatus::kPruned) {
+      // Pruned mid-routing: the record holds only a prefix. Finish an
+      // unbounded routing with the record attached so the group's members
+      // can replay (and skip) against the complete design; this
+      // candidate's own outcome stays the pruned one.
+      CandidateOutcome full;
+      full.point.switches_per_island = cand.switches_per_island;
+      detail::build_switches(full.point.topology, ctx, parts, 0, scratch);
+      route_and_finish(ctx, full, ropts, scratch, nullptr, 0.0, delta_record,
+                       nullptr);
+      if (full.status == EvalStatus::kRouted) {
+        delta_record->outcome =
+            std::make_shared<const CandidateOutcome>(std::move(full));
+      }
+    }
   }
   return out;
 }

@@ -311,6 +311,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   std::vector<std::atomic<long long>> delta_certified_w(widths.size());
   std::vector<std::atomic<long long>> delta_rerouted_w(widths.size());
   std::vector<std::atomic<int>> delta_rejects_w(widths.size());
+  std::vector<std::atomic<int>> delta_skipped_w(widths.size());
   for (std::size_t i = 0; i < widths.size(); ++i) {
     width_shared[i].store(0);
     width_certified[i].store(0);
@@ -321,6 +322,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     delta_certified_w[i].store(0);
     delta_rerouted_w[i].store(0);
     delta_rejects_w[i].store(0);
+    delta_skipped_w[i].store(0);
   }
   std::mutex progress_mutex;
   std::size_t progress_done = 0;
@@ -422,6 +424,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
             delta_rerouted_w[wi].fetch_add(delta->flows_rerouted,
                                            std::memory_order_relaxed);
             delta_rejects_w[wi].fetch_add(delta->cert_rejects,
+                                          std::memory_order_relaxed);
+            delta_skipped_w[wi].fetch_add(delta->member_skipped ? 1 : 0,
                                           std::memory_order_relaxed);
           }
         }
@@ -528,6 +532,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     st.delta_flows_certified = delta_certified_w[i].load();
     st.delta_flows_rerouted = delta_rerouted_w[i].load();
     st.delta_cert_rejects = delta_rejects_w[i].load();
+    st.delta_members_skipped = delta_skipped_w[i].load();
     st.peak_buffered_outcomes = peak_buffered.load();
   }
 
@@ -550,6 +555,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       stats->delta_flows_certified += delta_certified_w[i].load();
       stats->delta_flows_rerouted += delta_rerouted_w[i].load();
       stats->delta_cert_rejects += delta_rejects_w[i].load();
+      stats->delta_members_skipped += delta_skipped_w[i].load();
     }
   }
   return entries;
@@ -607,6 +613,7 @@ obs::Registry WidthSetStats::to_registry() const {
   reg.add("delta_flows_certified", delta_flows_certified);
   reg.add("delta_flows_rerouted", delta_flows_rerouted);
   reg.add("delta_cert_rejects", delta_cert_rejects);
+  reg.add("delta_members_skipped", delta_members_skipped);
   reg.set_gauge("shared_rate", shared_rate());
   reg.set_gauge("delta_reuse_rate", delta_reuse_rate());
   return reg;

@@ -112,6 +112,132 @@ bool link_admissible(soc::IslandId a_isl, soc::IslandId b_isl,
 
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+/// Technology constants of the edge cost, hoisted out of the inner loop
+/// (it runs millions of times per sweep). Every expression replicates its
+/// model function's operation order exactly (see noc_models.cpp), so costs
+/// — and therefore routing decisions — are bit-identical to calling the
+/// models per edge.
+struct CostCoeffs {
+  explicit CostCoeffs(const models::Technology& tech)
+      : link_dyn(tech.link_energy_pj_per_bit_mm * 1e-12),
+        link_leak(tech.link_leakage_mw_per_wire_mm * 1e-3),
+        fifo_dyn(tech.fifo_energy_pj_per_bit * 1e-12),
+        fifo_leak(tech.fifo_leakage_mw * 1e-3),
+        idle_w_per_hz(tech.sw_idle_power_per_port_w_per_hz),
+        hop_lat_intra(1.0 + tech.sw_pipeline_cycles),
+        hop_lat_cross(static_cast<double>(tech.fifo_latency_cycles) +
+                      tech.sw_pipeline_cycles),
+        ebit_base(tech.sw_energy_base_pj_per_bit),
+        ebit_per_port(tech.sw_energy_per_port_pj_per_bit) {}
+  /// Crossbar energy per bit of a switch with `ports` = max(in, out).
+  [[nodiscard]] double ebit(int ports) const {
+    return (ebit_base + ebit_per_port * ports) * 1e-12;
+  }
+  double link_dyn, link_leak, fifo_dyn, fifo_leak, idle_w_per_hz;
+  double hop_lat_intra, hop_lat_cross;
+  double ebit_base, ebit_per_port;
+};
+
+/// Power normalizer of the link cost: opening a "typical" link (quarter-chip
+/// wire at the design's peak flow bandwidth, with a FIFO). It reads every
+/// switch position, intermediates included, which is why delta replay is
+/// gated on it being bit-equal to the reference's.
+double power_normalizer(const NocTopology& topo, const soc::SocSpec& spec,
+                        const models::Technology& tech) {
+  double max_bw = 0.0;
+  double max_span = 0.0;
+  for (const soc::Flow& f : spec.flows) {
+    max_bw = std::max(max_bw, f.bandwidth_bits_per_s);
+  }
+  for (const SwitchInst& s : topo.switches) {
+    max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
+  }
+  const double ref_len = std::max(0.5, max_span / 2.0);
+  const double p_norm =
+      models::LinkModel(tech).dynamic_power_w(ref_len, std::max(max_bw, 1.0)) +
+      models::BisyncFifoModel(tech).dynamic_power_w(std::max(max_bw, 1.0));
+  return p_norm <= 0.0 ? 1e-3 : p_norm;
+}
+
+/// Relative slack of the cross-island certificate's strict comparison. Both
+/// sides sum the same non-negative terms in different association orders:
+/// a computed opening cost is within ~12 ulp (relative) of its real value,
+/// a path sum adds one rounding per hop of non-negative terms, and the
+/// bound itself rounds ~12 times — under 40 ulp (~1e-14) in all. 1e-12
+/// leaves more than 100x of that in reserve.
+constexpr double kCrossBoundMargin = 1e-12;
+
+/// The cross-island certificate of delta replay. While no link touches the
+/// intermediate VI, a path of a flow from island A to island B through it
+/// must OPEN an A->VI link and a VI->B link (link_admissible allows no
+/// other way in or out of the VI) and every other hop costs >= 0. Opening
+/// u->v costs alpha * (bw * slope + floor) / p_norm + latpart_cross with
+///   slope = link_dyn * len + ebit(v) + fifo_dyn,
+///   floor = idle * (f_u + f_v) + link_leak * len * width + fifo_leak,
+/// all terms non-negative, and ebit(v) only grows as ports open. Minimising
+/// slope and floor separately over each island's pairs with the VI on the
+/// UNROUTED topology therefore bounds every such path from below for the
+/// whole pass, at O(1) per flow. If the reference's exact distance beats
+/// the bound, the VI switches can neither be extracted ahead of the
+/// destination with a smaller key nor improve any node the reference path
+/// uses, so the live Dijkstra would pick the recorded path (same nodes,
+/// same reuse-vs-open choices, same tie order) — see README.
+struct CrossIslandBound {
+  std::vector<double> out_floor, out_slope;  ///< A->VI minima, per island
+  std::vector<double> in_floor, in_slope;    ///< VI->B minima, per island
+  double alpha = 0.0;
+  double hop_lat_cross = 0.0;
+
+  CrossIslandBound() = default;
+  CrossIslandBound(const NocTopology& topo, std::size_t n_islands,
+                   const RouterOptions& opts, const CostCoeffs& k,
+                   double p_norm)
+      : out_floor(n_islands, kInf),
+        out_slope(n_islands, kInf),
+        in_floor(n_islands, kInf),
+        in_slope(n_islands, kInf),
+        alpha(opts.alpha_power),
+        hop_lat_cross(k.hop_lat_cross) {
+    const double width = static_cast<double>(opts.link_width_bits);
+    const double scale = opts.alpha_power / p_norm;
+    for (const SwitchInst& w : topo.switches) {
+      if (w.island != kIntermediateIsland) continue;
+      const double ebit_w = k.ebit(static_cast<int>(w.cores.size()));
+      for (const SwitchInst& u : topo.switches) {
+        const auto i = static_cast<std::size_t>(u.island);
+        if (u.island == kIntermediateIsland || i >= n_islands) continue;
+        const double len = floorplan::manhattan_mm(u.pos, w.pos);
+        const double floor =
+            scale * ((k.idle_w_per_hz * (u.freq_hz + w.freq_hz) +
+                      k.link_leak * len * width) +
+                     k.fifo_leak);
+        const double wire = k.link_dyn * len + k.fifo_dyn;
+        const double ebit_u = k.ebit(static_cast<int>(u.cores.size()));
+        out_floor[i] = std::min(out_floor[i], floor);
+        in_floor[i] = std::min(in_floor[i], floor);
+        out_slope[i] = std::min(out_slope[i], scale * (wire + ebit_w));
+        in_slope[i] = std::min(in_slope[i], scale * (wire + ebit_u));
+      }
+    }
+  }
+
+  /// True when `dist_ref` (the reference's exact destination distance of
+  /// `flow`, from island a to island b) is strictly below every path
+  /// through the VI. NaN never certifies.
+  [[nodiscard]] bool certifies(double dist_ref, const soc::Flow& flow,
+                               soc::IslandId a, soc::IslandId b) const {
+    const auto ia = static_cast<std::size_t>(a);
+    const auto ib = static_cast<std::size_t>(b);
+    const double bw = flow.bandwidth_bits_per_s;
+    const double lat = (1.0 - alpha) * (hop_lat_cross / flow.max_latency_cycles);
+    const double lb = (out_floor[ia] + bw * out_slope[ia] + lat) +
+                      (in_floor[ib] + bw * in_slope[ib] + lat);
+    return dist_ref < lb * (1.0 - kCrossBoundMargin);
+  }
+};
+
 /// Mutable routing state over a topology under construction. All transient
 /// buffers live in the caller-provided RouterScratch, reset per construction
 /// (assign, never shrink) so a sweep reuses one arena across candidates.
@@ -146,8 +272,8 @@ class Router {
          bool resume_state = false, DeltaReference* rec_out = nullptr,
          DeltaRouteState* delta = nullptr)
       : topo_(topo), spec_(spec), opts_(opts), scratch_(scratch), bound_(bound),
-        lanes_(lanes), rec_out_(rec_out), delta_(delta), sw_model_(opts.tech),
-        link_model_(opts.tech), fifo_model_(opts.tech), pass_id_(pass_id) {
+        lanes_(lanes), rec_out_(rec_out), delta_(delta), k_(opts.tech),
+        pass_id_(pass_id) {
     const std::size_t n_sw = topo_.switches.size();
     n_ = n_sw;
     scratch_.ports_in.assign(n_sw, 0);
@@ -171,40 +297,15 @@ class Router {
             static_cast<int>(l);
       }
     }
-    // Power normalizer: opening a "typical" link (quarter-chip wire at the
-    // design's peak flow bandwidth, with a FIFO).
-    double max_bw = 0.0;
-    double max_span = 0.0;
-    for (const soc::Flow& f : spec_.flows) {
-      max_bw = std::max(max_bw, f.bandwidth_bits_per_s);
-    }
-    for (const SwitchInst& s : topo_.switches) {
-      max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
-    }
-    const double ref_len = std::max(0.5, max_span / 2.0);
-    p_norm_ = link_model_.dynamic_power_w(ref_len, std::max(max_bw, 1.0)) +
-              fifo_model_.dynamic_power_w(std::max(max_bw, 1.0));
-    if (p_norm_ <= 0.0) p_norm_ = 1e-3;
+    p_norm_ = power_normalizer(topo_, spec_, opts_.tech);
 
-    // The edge-cost inner loop runs millions of times per sweep; hoist the
-    // model constants and the pure per-switch/per-pair geometry out of it.
-    // Every cached expression replicates its model function's operation
-    // order exactly (see noc_models.cpp), so costs — and therefore routing
-    // decisions — are bit-identical to calling the models per edge.
-    const models::Technology& tech = opts_.tech;
-    link_dyn_c_ = tech.link_energy_pj_per_bit_mm * 1e-12;
-    link_leak_c_ = tech.link_leakage_mw_per_wire_mm * 1e-3;
-    fifo_dyn_c_ = tech.fifo_energy_pj_per_bit * 1e-12;
-    fifo_leak_w_ = tech.fifo_leakage_mw * 1e-3;
-    idle_w_per_hz_ = tech.sw_idle_power_per_port_w_per_hz;
-    hop_lat_intra_ = 1.0 + tech.sw_pipeline_cycles;
-    hop_lat_cross_ = static_cast<double>(tech.fifo_latency_cycles) +
-                     tech.sw_pipeline_cycles;
+    // Per-switch geometry hoisted out of the edge-cost inner loop.
     scratch_.max_wire_len.assign(n_sw, 0.0);
     if (opts_.enforce_wire_timing) {
+      const models::LinkModel link_model(opts_.tech);
       for (std::size_t s = 0; s < n_sw; ++s) {
         scratch_.max_wire_len[s] =
-            link_model_.max_unpipelined_length_mm(topo_.switches[s].freq_hz);
+            link_model.max_unpipelined_length_mm(topo_.switches[s].freq_hz);
       }
     }
     // Flat copies of the per-switch hot fields (SwitchInst drags its core
@@ -213,11 +314,16 @@ class Router {
     scratch_.island_of.assign(n_sw, 0);
     scratch_.freq_of.assign(n_sw, 0.0);
     scratch_.ebit_of.assign(n_sw, 0.0);
+    bool has_intermediate = false;
     for (std::size_t s = 0; s < n_sw; ++s) {
       scratch_.island_of[s] = topo_.switches[s].island;
       scratch_.freq_of[s] = topo_.switches[s].freq_hz;
       refresh_ebit(static_cast<int>(s));
+      has_intermediate |= topo_.switches[s].island == kIntermediateIsland;
     }
+    // A recorded distance certifies cross-island replays only when it came
+    // from a Dijkstra without intermediate switches (see CrossIslandBound).
+    rec_dist_ok_ = !has_intermediate;
 
     if (bound_ != nullptr && bound_->front != nullptr) {
       power_lb_ = bound_->base_power_lb_w;
@@ -279,7 +385,9 @@ class Router {
     // reads is island-local), so with equal normalizers an in-sync
     // island's decisions are input-identical to the reference's. Each pass
     // re-arms with a fresh taint vector (pass 2 restarts from a pristine
-    // topology compared against the same pass-1 records).
+    // topology compared against the same pass-1 records). Cross-island
+    // replay additionally needs pass 1's rules (the records' rules) and the
+    // certificate's bound on paths through the intermediate VI.
     if (delta_ != nullptr) {
       delta_->pnorm_matched = delta_->ref != nullptr && delta_->ref->valid &&
                               delta_->ref->p_norm == p_norm_;
@@ -287,6 +395,11 @@ class Router {
       if (delta_apply_) {
         delta_->island_tainted.assign(spec.islands.size(), 0);
         cert_forced_ = g_delta_cert_forced.load(std::memory_order_relaxed);
+        cross_armed_ = !opts_.forbid_direct_cross;
+        if (cross_armed_) {
+          cross_bound_ = CrossIslandBound(topo_, spec.islands.size(), opts_, k_,
+                                          p_norm_);
+        }
       }
     }
 
@@ -321,14 +434,17 @@ class Router {
     for (std::size_t pos = start_pos; pos < order->size(); ++pos) {
       const std::size_t f = (*order)[pos];
       order_pos_ = pos;
+      last_dist_ = kNaN;  // set only by a live Dijkstra of this flow
       const bool ok = delta_apply_ && pos < delta_->ref->records.size()
                           ? delta_route_flow(pos, f, outcome)
                           : route_flow(f, outcome);
       if (ok && rec_out_ != nullptr) {
         // Pure observation: the routed hop sequence, reconstructed from the
         // finished route (a link was opened by this flow iff the flow is
-        // its first user).
-        reconstruct_hops(f, rec_out_->records.emplace_back().hops);
+        // its first user), and the Dijkstra's destination distance.
+        DeltaRouteRec& rec = rec_out_->records.emplace_back();
+        reconstruct_hops(f, rec.hops);
+        rec.dist = rec_dist_ok_ ? last_dist_ : kNaN;
       }
       if (!ok) return outcome;
       ++outcome.flows_routed;
@@ -409,9 +525,9 @@ class Router {
       // New ports clock on both sides; wires and (if crossing) a FIFO
       // leak. Same accumulation order as hop_power_w had.
       double p = base_power();
-      p += idle_w_per_hz_ * (fu + fv);
-      p += link_leak_c_ * len * width_bits;
-      if (cross) p += fifo_leak_w_;
+      p += k_.idle_w_per_hz * (fu + fv);
+      p += k_.link_leak * len * width_bits;
+      if (cross) p += k_.fifo_leak;
       choice.cost = opts_.alpha_power * p / p_norm_ + latpart;
       choice.link = -1;
     }
@@ -444,9 +560,7 @@ class Router {
   void refresh_ebit(int s) {
     const auto ss = static_cast<std::size_t>(s);
     const int ports = std::max(scratch_.ports_in[ss], scratch_.ports_out[ss]);
-    scratch_.ebit_of[ss] = (opts_.tech.sw_energy_base_pj_per_bit +
-                            opts_.tech.sw_energy_per_port_pj_per_bit * ports) *
-                           1e-12;
+    scratch_.ebit_of[ss] = k_.ebit(ports);
   }
 
   /// Lazily builds (or returns) the admissible-hop CSR of one flow class.
@@ -568,10 +682,10 @@ class Router {
       const double fa = scratch_.freq_of[a];
       const int a_isl = scratch_.island_of[a];
       for (std::size_t b = 0; b < n_; ++b) {
-        const double ti = idle_w_per_hz_ * (fa + scratch_.freq_of[b]);
+        const double ti = k_.idle_w_per_hz * (fa + scratch_.freq_of[b]);
         const double tl = leak_len[a * n_ + b] * w;
         const double p_floor = scratch_.island_of[b] != a_isl
-                                   ? (ti + tl) + fifo_leak_w_
+                                   ? (ti + tl) + k_.fifo_leak
                                    : ti + tl;
         floor_[a * n_ + b] = opts_.alpha_power * p_floor / p_norm_;
       }
@@ -587,6 +701,7 @@ class Router {
     route.dst_switch = d_sw;
     if (s_sw == d_sw) {
       route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
+      last_dist_ = 0.0;
       return true;
     }
 
@@ -604,9 +719,9 @@ class Router {
     // doubles as the bit-exact early-skip threshold of a relaxation.
     const double bw = flow.bandwidth_bits_per_s;
     const double lat_part_intra =
-        (1.0 - opts_.alpha_power) * (hop_lat_intra_ / flow.max_latency_cycles);
+        (1.0 - opts_.alpha_power) * (k_.hop_lat_intra / flow.max_latency_cycles);
     const double lat_part_cross =
-        (1.0 - opts_.alpha_power) * (hop_lat_cross_ / flow.max_latency_cycles);
+        (1.0 - opts_.alpha_power) * (k_.hop_lat_cross / flow.max_latency_cycles);
 
     // Only dist needs a per-flow reset: pred/pred_link are read exclusively
     // for nodes the CURRENT flow updated (the path walk follows this flow's
@@ -727,9 +842,9 @@ class Router {
         double p_base = -1.0;
         auto base_power = [&]() {
           if (p_base < 0.0) {
-            double p = link_dyn_c_ * len * bw;
+            double p = k_.link_dyn * len * bw;
             p += scratch_.ebit_of[vs] * bw;
-            if (cross) p += fifo_dyn_c_ * bw;
+            if (cross) p += k_.fifo_dyn * bw;
             p_base = p;
           }
           return p_base;
@@ -904,7 +1019,8 @@ class Router {
       }
     }
 
-    if (!std::isfinite(dist[static_cast<std::size_t>(d_sw)])) {
+    last_dist_ = dist[static_cast<std::size_t>(d_sw)];
+    if (!std::isfinite(last_dist_)) {
       outcome.failure_reason =
           "no admissible path for flow '" + flow.label + "'";
       outcome.failed_flow = static_cast<int>(flow_idx);
@@ -1053,13 +1169,14 @@ class Router {
   }
 
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
-  /// — intra-island, island still in sync — replay the record (or, under
-  /// the forced certificate, re-derive the path with their own solo
-  /// Dijkstra and verify it against the record). AFFECTED flows — cross-
-  /// island (their admissible switch set includes the intermediates the
-  /// config diff changed) or on a tainted island — route live; a live
-  /// cross route whose hop sequence differs from the record's ends reuse
-  /// for every island either sequence touches.
+  /// replay the record (or, under the forced certificate, re-derive the
+  /// path with their own solo Dijkstra and verify it against the record):
+  /// intra-island flows of an in-sync island, and — pass 1 only — cross-
+  /// island flows between in-sync islands while no link touches the
+  /// intermediate VI, whose recorded distance beats the CrossIslandBound.
+  /// AFFECTED flows — tainted islands, a touched VI, a certificate miss —
+  /// route live; a live cross route whose hop sequence differs from the
+  /// record's ends reuse for every island either sequence touches.
   bool delta_route_flow(std::size_t pos, std::size_t flow_idx,
                         RouteOutcome& outcome) {
     const soc::Flow& flow = spec_.flows[flow_idx];
@@ -1076,14 +1193,20 @@ class Router {
         spec_.cores[static_cast<std::size_t>(flow.dst)].island;
     const DeltaRouteRec& rec = delta_->ref->records[pos];
     const bool intra = src_isl == dst_isl;
-    if (intra && delta_->island_tainted[static_cast<std::size_t>(src_isl)] == 0) {
+    const std::vector<char>& tainted = delta_->island_tainted;
+    const bool in_sync =
+        tainted[static_cast<std::size_t>(src_isl)] == 0 &&
+        (intra || (cross_armed_ && !intermediate_touched_ &&
+                   tainted[static_cast<std::size_t>(dst_isl)] == 0 &&
+                   cross_bound_.certifies(rec.dist, flow, src_isl, dst_isl)));
+    if (in_sync) {
       if (cert_forced_) {
         // Route-equivalence certificate: the flow's own solo Dijkstra over
         // the current state (route_flow IS that Dijkstra; it shares
         // choose_hop with the width-lane certificates). Acceptance proves
         // the replay would have been bit-identical; a rejection taints the
-        // island and keeps the certified path, so results never depend on
-        // the record being right.
+        // islands and keeps the certified path, so results never depend on
+        // the record or the bound being right.
         if (!route_flow(flow_idx, outcome)) return false;
         reconstruct_hops(flow_idx, delta_->actual_hops);
         if (delta_->actual_hops == rec.hops) {
@@ -1102,8 +1225,9 @@ class Router {
         return replayed != 0;
       }
       // Record not applicable (defensive; never expected while in sync):
-      // end reuse for this island and route live below.
+      // end reuse for the flow's islands and route live below.
       delta_->island_tainted[static_cast<std::size_t>(src_isl)] = 1;
+      delta_->island_tainted[static_cast<std::size_t>(dst_isl)] = 1;
     }
     if (!route_flow(flow_idx, outcome)) return false;
     ++delta_->flows_rerouted;
@@ -1192,9 +1316,9 @@ class Router {
           double p_base = -1.0;
           auto base_power = [&]() {
             if (p_base < 0.0) {
-              double p = link_dyn_c_ * len * bw;
+              double p = k_.link_dyn * len * bw;
               p += scratch_.ebit_of[vs] * bw;
-              if (cross) p += fifo_dyn_c_ * bw;
+              if (cross) p += k_.fifo_dyn * bw;
               p_base = p;
             }
             return p_base;
@@ -1250,10 +1374,13 @@ class Router {
     ++scratch_.ports_in[static_cast<std::size_t>(b)];
     refresh_ebit(a);
     refresh_ebit(b);
+    intermediate_touched_ |=
+        scratch_.island_of[static_cast<std::size_t>(a)] == kIntermediateIsland ||
+        scratch_.island_of[static_cast<std::size_t>(b)] == kIntermediateIsland;
     if (power_lb_ >= 0.0) {
       // The two new ports clock forever: their idle power is an exact,
       // monotone addition to the final switch dynamic power.
-      power_lb_ += idle_w_per_hz_ * (switch_freq(topo_, a) + switch_freq(topo_, b));
+      power_lb_ += k_.idle_w_per_hz * (switch_freq(topo_, a) + switch_freq(topo_, b));
     }
     return id;
   }
@@ -1268,9 +1395,12 @@ class Router {
   DeltaRouteState* delta_ = nullptr;   ///< delta replay state (member runs)
   bool delta_apply_ = false;  ///< delta armed: reference valid, p_norm equal
   bool cert_forced_ = false;  ///< verify every replay with its solo Dijkstra
-  models::SwitchModel sw_model_;
-  models::LinkModel link_model_;
-  models::BisyncFifoModel fifo_model_;
+  bool cross_armed_ = false;  ///< cross-island replay possible (pass 1)
+  bool intermediate_touched_ = false;  ///< a link opened at a VI switch
+  CrossIslandBound cross_bound_;       ///< valid when cross_armed_
+  bool rec_dist_ok_ = false;  ///< recorded distances are certificate inputs
+  double last_dist_ = kNaN;   ///< destination distance of the last Dijkstra
+  const CostCoeffs k_;
   std::size_t n_ = 0;
   double p_norm_ = 1.0;
   // Admissible-subset iteration (see route_flow).
@@ -1280,14 +1410,6 @@ class Router {
   /// Vectorized relaxation filter enabled (compiled in AND not disabled at
   /// runtime); sampled once at construction.
   bool use_simd_ = false;
-  // Cached model coefficients (see constructor).
-  double link_dyn_c_ = 0.0;
-  double link_leak_c_ = 0.0;
-  double fifo_dyn_c_ = 0.0;
-  double fifo_leak_w_ = 0.0;
-  double idle_w_per_hz_ = 0.0;
-  double hop_lat_intra_ = 0.0;
-  double hop_lat_cross_ = 0.0;
   std::vector<double> floor_;  ///< n x n opening-cost floors of this pass
   std::vector<double> lane_dist_u_;  ///< per-lane dist of the extracted node
   std::size_t order_pos_ = 0;        ///< current position in the flow order
@@ -1345,13 +1467,7 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     record->p_norm = 0.0;
     record->valid = false;
   }
-  if (delta != nullptr) {
-    delta->pnorm_matched = false;
-    delta->flows_reused = 0;
-    delta->flows_certified = 0;
-    delta->flows_rerouted = 0;
-    delta->cert_rejects = 0;
-  }
+  if (delta != nullptr) delta->clear_outputs();
 
   bool has_intermediate = false;
   for (const SwitchInst& s : topo.switches) {
@@ -1403,6 +1519,47 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     second.latency_violation = first.latency_violation;
   }
   return second;
+}
+
+bool certify_delta_member(const NocTopology& topo, const soc::SocSpec& spec,
+                          const RouterOptions& options, DeltaRouteState& delta) {
+  const DeltaReference* ref = delta.ref;
+  if (ref == nullptr || !ref->valid || options.forbid_direct_cross ||
+      ref->records.size() != spec.flows.size() ||
+      options.max_ports.size() != topo.switches.size()) {
+    return false;
+  }
+  const double p_norm = power_normalizer(topo, spec, options.tech);
+  if (p_norm != ref->p_norm) return false;
+  const CrossIslandBound bound(topo, spec.islands.size(), options,
+                               CostCoeffs(options.tech), p_norm);
+  std::vector<std::size_t> local_order;
+  const std::vector<std::size_t>* order = options.flow_order;
+  if (order == nullptr) {
+    local_order = bandwidth_descending_order(spec);
+    order = &local_order;
+  }
+  // Nothing is tainted and no VI link opens while every flow replays, so
+  // each flow's replay condition reduces to its static part.
+  int replayed = 0;
+  for (std::size_t pos = 0; pos < order->size(); ++pos) {
+    const soc::Flow& flow = spec.flows[(*order)[pos]];
+    if (topo.switch_of_core[static_cast<std::size_t>(flow.src)] ==
+        topo.switch_of_core[static_cast<std::size_t>(flow.dst)]) {
+      continue;  // trivial: routed live and uncounted by the replay too
+    }
+    ++replayed;
+    const soc::IslandId a = spec.cores[static_cast<std::size_t>(flow.src)].island;
+    const soc::IslandId b = spec.cores[static_cast<std::size_t>(flow.dst)].island;
+    if (a != b && !bound.certifies(ref->records[pos].dist, flow, a, b)) {
+      return false;
+    }
+  }
+  delta.clear_outputs();
+  delta.pnorm_matched = true;
+  delta.member_skipped = true;
+  delta.flows_reused = replayed;
+  return true;
 }
 
 RouteOutcome route_all_flows_multi(NocTopology& topo, const soc::SocSpec& spec,

@@ -219,6 +219,7 @@ SynthesisResult synthesize(const soc::SocSpec& spec, const SynthesisOptions& opt
         shard.add("delta_flows_certified", delta->flows_certified);
         shard.add("delta_flows_rerouted", delta->flows_rerouted);
         shard.add("delta_cert_rejects", delta->cert_rejects);
+        shard.add("delta_members_skipped", delta->member_skipped ? 1 : 0);
       }
     }
     if (options.prune && out.status == EvalStatus::kRouted && out.deadlock_free) {
@@ -248,6 +249,8 @@ SynthesisResult synthesize(const soc::SocSpec& spec, const SynthesisOptions& opt
   result.stats.delta_flows_rerouted = merged.value("delta_flows_rerouted");
   result.stats.delta_cert_rejects =
       static_cast<int>(merged.value("delta_cert_rejects"));
+  result.stats.delta_members_skipped =
+      static_cast<int>(merged.value("delta_members_skipped"));
 
   result.stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();

@@ -100,7 +100,7 @@ void record_span(const char* name, std::int64_t start_ns, std::int64_t end_ns) {
 }  // namespace detail
 
 void set_tracing_enabled(bool enabled) {
-  if (enabled) trace_now_ns();  // arm the epoch before the first span
+  if (enabled) (void)trace_now_ns();  // arm the epoch before the first span
   detail::g_tracing_enabled.store(enabled, std::memory_order_relaxed);
 }
 

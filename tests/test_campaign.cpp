@@ -492,6 +492,7 @@ TEST(CampaignEngine, ResumeSummarySerializationIsCanonical) {
       "evicted_records",
       "store_write_errors",
       "interrupted",
+      "delta_members_skipped",
       "delta_reuse_rate",
   };
   std::size_t pos = 0;

@@ -511,11 +511,12 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
       counter("peak_buffered_outcomes"));
   std::printf(
       "delta: %lld candidates replayed, %lld flows reused + %lld certified, "
-      "%lld rerouted (%.0f%% reuse rate, %lld certificate rejects)\n",
+      "%lld rerouted (%.0f%% reuse rate, %lld certificate rejects), %lld "
+      "members skipped\n",
       counter("delta_candidates"), counter("delta_flows_reused"),
       counter("delta_flows_certified"), counter("delta_flows_rerouted"),
       sweep_reg.gauge("delta_reuse_rate") * 100.0,
-      counter("delta_cert_rejects"));
+      counter("delta_cert_rejects"), counter("delta_members_skipped"));
   return kExitOk;
 }
 
@@ -824,14 +825,14 @@ int cmd_campaign(const Args& args) {
       "sharing: %d shared (%d certified), %d cohort in %d groups, "
       "%d solo fallback (%d certificate accepts, peak %d buffered "
       "outcomes); delta: %d candidates, %lld reused + %lld "
-      "certified, %lld rerouted (%.0f%% reuse rate)\n",
+      "certified, %lld rerouted (%.0f%% reuse rate), %d members skipped\n",
       result.width_shared_evals(), result.width_certified_evals(),
       result.width_cohort_evals(), result.cohort_groups(),
       result.width_fallback_evals() - result.width_cohort_evals(),
       result.certificate_accepts(), result.peak_buffered_outcomes(),
       result.delta_candidates(), result.delta_flows_reused(),
       result.delta_flows_certified(), result.delta_flows_rerouted(),
-      result.delta_reuse_rate() * 100.0);
+      result.delta_reuse_rate() * 100.0, result.delta_members_skipped());
   // Machine-readable run summary: scripts (and CI's resume assertion) parse
   // this line instead of the human-formatted one above. The serialization
   // is CampaignResult::metrics verbatim — the engine registers its counters
