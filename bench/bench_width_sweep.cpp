@@ -1,23 +1,18 @@
-// Multi-width sweep throughput: wall clock of explore_link_widths() (the
-// sweep-structured evaluation — partitions / floorplan / candidate
-// structures shared across the width sweep, see vinoc/core/width_eval.hpp)
-// versus the LEGACY schedule of one independent synthesize() per width, on
-// the seed benchmarks at the default width set.
+// Multi-width sweep throughput: wall clock of explore_link_widths() (one
+// floorplan, candidate enumeration per structural width class, cross-width
+// partition cache and one routing geometry per candidate, shared across the
+// width sweep) versus one independent synthesize() per width, on the seed
+// benchmarks at the default width set.
 //
-// The legacy loop lives in this same binary, so the A/B needs no second
-// build; the bench additionally asserts that every shared-sweep entry's
-// result_fingerprint equals its legacy counterpart (exits non-zero on
+// The per-width loop lives in this same binary, so the A/B needs no second
+// build; the bench additionally asserts that every sweep entry's
+// result_fingerprint equals its per-width counterpart (exits non-zero on
 // mismatch — the speedup number is only meaningful if the results are
 // bit-identical).
 //
-// A second A/B runs the FINE width grid (kFineWidths), where PR 4's
-// trace-level lockstep shared nothing: the certified_share_rate metric is
-// the CI floor for how much of that sweep the path-level route-equivalence
-// certificates and diverged-lane cohorts now serve from shared structures.
-//
 // One JSON line between the BEGIN/END JSONL markers; the perf-smoke job
 // feeds it to tools/bench_check against bench/baseline.json (the
-// speedup_shared metric is the CI floor for the sweep-structuring win).
+// speedup_structure metric is the CI floor for the sweep-structuring win).
 // `--quick` shrinks the case list and skips the google-benchmark tail.
 #include "bench_util.hpp"
 
@@ -59,17 +54,7 @@ std::vector<Case> sweep_cases(bool quick) {
 
 const std::vector<int> kWidths = {16, 32, 64, 128};
 
-/// Dense upper-range width grid for the certificate measurement: adjacent
-/// widths snap to close (often overlapping) island frequencies, so their
-/// Dijkstras differ in near-tie flips and genuine reuse-vs-open shifts —
-/// exactly the regime the path-level route-equivalence certificates and
-/// diverged-lane cohorts target. Under PR 4's trace-level lockstep every
-/// one of these (candidate, width) results fell back to solo evaluation
-/// (shared rate 0); the certified_share_rate metric gates how much of the
-/// fine sweep the certificates now serve from shared structures.
-const std::vector<int> kFineWidths = {128, 160, 192, 256};
-
-/// The pre-PR sweep schedule: one full synthesize() per width over one
+/// The unshared schedule: one full synthesize() per width over one
 /// shared pool/scratch, infeasible widths recorded. Returns per-width
 /// fingerprints (0 = infeasible) and the number of candidate evaluations.
 std::vector<std::uint64_t> legacy_sweep(const soc::SocSpec& spec,
@@ -111,8 +96,7 @@ std::vector<std::uint64_t> shared_sweep(const soc::SocSpec& spec,
 /// guardrail runs as an UNTIMED verification pass first (correctness
 /// checks stay outside timed regions; it doubles as the warm-up): the
 /// shared sweep must be bit-identical to the legacy per-width schedule,
-/// else the bench exits non-zero — the single protocol behind BOTH gated
-/// speedup metrics. Each side is then measured by the FatRunner (warmup
+/// else the bench exits non-zero. Each side is then measured by the FatRunner (warmup
 /// batches, adaptive reps, median + MAD). `evals` receives the shared
 /// side's candidate-evaluation count from the verification pass.
 struct AbResult {
@@ -121,17 +105,16 @@ struct AbResult {
 };
 AbResult timed_ab(bench::FatRunner& runner, const Case& c,
                   const std::vector<int>& widths,
-                  const core::SynthesisOptions& options,
-                  const char* grid_label, long long* evals = nullptr) {
-  if (evals != nullptr) *evals = 0;
+                  const core::SynthesisOptions& options, long long* evals) {
+  *evals = 0;
   const std::vector<std::uint64_t> a = shared_sweep(c.spec, widths, options, evals);
   const std::vector<std::uint64_t> b = legacy_sweep(c.spec, widths, options, nullptr);
   if (a != b) {
     std::fprintf(stderr,
-                 "bench_width_sweep: FINGERPRINT MISMATCH on %s (%s) — the "
+                 "bench_width_sweep: FINGERPRINT MISMATCH on %s — the "
                  "shared sweep is not bit-identical to per-width "
                  "synthesize()\n",
-                 c.name.c_str(), grid_label);
+                 c.name.c_str());
     std::exit(1);
   }
   AbResult ab;
@@ -164,7 +147,7 @@ void print_table(bool quick) {
   for (const Case& c : cases) {
     long long evals = 0;
     const AbResult ab =
-        timed_ab(runner, c, kWidths, options, "default grid", &evals);
+        timed_ab(runner, c, kWidths, options, &evals);
     prov.add(ab.shared);
     prov.add(ab.legacy);
     shared_parts.push_back(ab.shared.stats);
@@ -182,9 +165,8 @@ void print_table(bool quick) {
               legacy_total.median, shared_total.median,
               legacy_total.median / shared_total.median);
 
-  // Sharing observability on the aggregate case list (default width set).
-  long long shared_evals = 0;
-  long long fallback_evals = 0;
+  // Sharing observability on the aggregate case list (deterministic at
+  // threads=1).
   long long partition_hits = 0;
   int peak_buffered = 0;
   for (const Case& c : cases) {
@@ -192,62 +174,9 @@ void print_table(bool quick) {
     core::EvalScratchPool scratch;
     core::WidthSetStats st;
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
-    shared_evals += st.shared_evals;
-    fallback_evals += st.fallback_evals;
     partition_hits += st.partition_cache_hits;
     peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
   }
-
-  // Certificate measurement: the fine width grid (see kFineWidths), where
-  // PR 4's trace-level lockstep shared NOTHING. A/B timed and fingerprint-
-  // gated like the main sweep; the sharing stats feed the gated
-  // certified_share_rate metric.
-  std::vector<bench::RobustStats> fine_shared_parts;
-  std::vector<bench::RobustStats> fine_legacy_parts;
-  long long fine_shared = 0;
-  long long fine_certified = 0;
-  long long fine_accepts = 0;
-  long long fine_cohort = 0;
-  long long fine_fallback = 0;
-  std::printf("\nfine width grid {128,160,192,256} (certificate regime):\n");
-  std::printf("%-10s %-26s %-26s %-10s %-22s\n", "case",
-              "legacy s (min/med/max)", "shared s (min/med/max)", "speedup",
-              "shared/cert/cohort/solo");
-  for (const Case& c : cases) {
-    const AbResult ab = timed_ab(runner, c, kFineWidths, options, "fine grid");
-    prov.add(ab.shared);
-    prov.add(ab.legacy);
-    fine_shared_parts.push_back(ab.shared.stats);
-    fine_legacy_parts.push_back(ab.legacy.stats);
-    exec::ThreadPool pool(1);
-    core::EvalScratchPool scratch;
-    core::WidthSetStats st;
-    (void)core::synthesize_width_set(c.spec, kFineWidths, options, pool,
-                                     scratch, &st);
-    fine_shared += st.shared_evals;
-    fine_certified += st.certified_evals;
-    fine_accepts += st.certificate_accepts;
-    fine_cohort += st.cohort_evals;
-    fine_fallback += st.fallback_evals;
-    peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
-    std::printf("%-10s %-26s %-26s %-10.2f %d/%d/%d/%d\n", c.name.c_str(),
-                bench::time_range(ab.legacy.stats).c_str(),
-                bench::time_range(ab.shared.stats).c_str(),
-                ab.legacy.stats.median / ab.shared.stats.median,
-                st.shared_evals, st.certified_evals, st.cohort_evals,
-                st.fallback_evals - st.cohort_evals);
-  }
-  const bench::RobustStats fine_shared_total =
-      bench::sum_stats(fine_shared_parts);
-  const bench::RobustStats fine_legacy_total =
-      bench::sum_stats(fine_legacy_parts);
-  const long long fine_followers = fine_shared + fine_fallback;
-  const double certified_share_rate =
-      fine_followers > 0 ? static_cast<double>(fine_shared) /
-                               static_cast<double>(fine_followers)
-                         : 0.0;
-  std::printf("fine-grid shared rate: %.3f (%lld certificate accepts)\n",
-              certified_share_rate, fine_accepts);
 
   std::printf("\n--- BEGIN JSONL (width_sweep) ---\n");
   const int reps_floor = std::min(shared_total.n, legacy_total.n);
@@ -256,7 +185,7 @@ void print_table(bool quick) {
       .field("quick", quick)
       .field("sweep_s", shared_total.median)
       .field("legacy_s", legacy_total.median);
-  bench::append_metric(w, "speedup_shared",
+  bench::append_metric(w, "speedup_structure",
                        bench::ratio_of(legacy_total, shared_total));
   bench::append_metric(
       w, "width_cands_per_s",
@@ -264,24 +193,8 @@ void print_table(bool quick) {
   // The sharing counters are deterministic at threads=1 (MAD 0 by
   // construction); gating them still catches a sharing-machinery change.
   bench::append_metric(
-      w, "shared_evals",
-      bench::exact_stat(static_cast<double>(shared_evals), reps_floor));
-  bench::append_metric(
-      w, "fallback_evals",
-      bench::exact_stat(static_cast<double>(fallback_evals), reps_floor));
-  bench::append_metric(
       w, "partition_cache_hits",
       bench::exact_stat(static_cast<double>(partition_hits), reps_floor));
-  bench::append_metric(w, "speedup_fine",
-                       bench::ratio_of(fine_legacy_total, fine_shared_total));
-  bench::append_metric(w, "certified_share_rate",
-                       bench::exact_stat(certified_share_rate, reps_floor));
-  bench::append_metric(
-      w, "certificate_accepts",
-      bench::exact_stat(static_cast<double>(fine_accepts), reps_floor));
-  bench::append_metric(
-      w, "cohort_evals",
-      bench::exact_stat(static_cast<double>(fine_cohort), reps_floor));
   bench::append_metric(
       w, "peak_buffered_outcomes",
       bench::exact_stat(static_cast<double>(peak_buffered), reps_floor));

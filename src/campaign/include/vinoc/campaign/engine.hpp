@@ -121,12 +121,6 @@ struct CampaignResult {
   ///                          jobs differing only in link_width_bits,
   ///                          synthesized together via synthesize_width_set)
   ///   structure_shared_jobs  jobs those groups covered
-  ///   width_*_evals          sharing telemetry summed over the run's
-  ///                          width-set syntheses (see core::WidthSetStats);
-  ///                          width_fallback_evals counts ALL
-  ///                          width-dependent results, width_cohort_evals
-  ///                          the subset resolved by a cohort lockstep
-  ///   certificate_accepts, cohort_groups
   ///   peak_buffered_outcomes streaming-merge high-water mark (MAX over
   ///                          groups — a memory bound, not a sum)
   ///   delta_*                candidate-level delta evaluation sums
@@ -151,23 +145,21 @@ struct CampaignResult {
   [[nodiscard]] int structure_shared_jobs() const {
     return static_cast<int>(metrics.value("structure_shared_jobs"));
   }
+  /// Retired, always 0, kept only because perfbench reads it.
   [[nodiscard]] int width_shared_evals() const {
     return static_cast<int>(metrics.value("width_shared_evals"));
   }
-  [[nodiscard]] int width_certified_evals() const {
-    return static_cast<int>(metrics.value("width_certified_evals"));
-  }
+  /// Retired, always 0, kept only because perfbench reads it.
   [[nodiscard]] int width_cohort_evals() const {
     return static_cast<int>(metrics.value("width_cohort_evals"));
   }
+  /// Retired, always 0, kept only because perfbench reads it.
   [[nodiscard]] int width_fallback_evals() const {
     return static_cast<int>(metrics.value("width_fallback_evals"));
   }
+  /// Retired, always 0, kept only because perfbench reads it.
   [[nodiscard]] int certificate_accepts() const {
     return static_cast<int>(metrics.value("certificate_accepts"));
-  }
-  [[nodiscard]] int cohort_groups() const {
-    return static_cast<int>(metrics.value("cohort_groups"));
   }
   [[nodiscard]] int peak_buffered_outcomes() const {
     return static_cast<int>(metrics.value("peak_buffered_outcomes"));

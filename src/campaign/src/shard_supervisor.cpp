@@ -98,15 +98,12 @@ class OrderedStream {
 /// re-derived from the delivered records instead — records survive worker
 /// crashes, summaries do not).
 constexpr const char* kSummedCounters[] = {
-    "structure_groups",   "structure_shared_jobs",
-    "width_shared_evals", "width_certified_evals",
-    "width_cohort_evals", "width_fallback_evals",
-    "certificate_accepts", "cohort_groups",
-    "delta_candidates",   "delta_flows_reused",
+    "structure_groups",      "structure_shared_jobs",
+    "delta_candidates",      "delta_flows_reused",
     "delta_flows_certified", "delta_flows_rerouted",
-    "delta_cert_rejects", "retries",
-    "recovered_records",  "evicted_records",
-    "store_write_errors", "delta_members_skipped",
+    "delta_cert_rejects",    "retries",
+    "recovered_records",     "evicted_records",
+    "store_write_errors",    "delta_members_skipped",
 };
 
 }  // namespace
@@ -514,12 +511,6 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   m.add("total", static_cast<std::int64_t>(jobs.size()));
   m.add("structure_groups", summed.value("structure_groups"));
   m.add("structure_shared_jobs", summed.value("structure_shared_jobs"));
-  m.add("width_shared_evals", summed.value("width_shared_evals"));
-  m.add("width_certified_evals", summed.value("width_certified_evals"));
-  m.add("width_cohort_evals", summed.value("width_cohort_evals"));
-  m.add("width_fallback_evals", summed.value("width_fallback_evals"));
-  m.add("certificate_accepts", summed.value("certificate_accepts"));
-  m.add("cohort_groups", summed.value("cohort_groups"));
   m.record_max("peak_buffered_outcomes",
                summed.value("peak_buffered_outcomes"));
   m.add("delta_candidates", summed.value("delta_candidates"));

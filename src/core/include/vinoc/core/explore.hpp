@@ -49,29 +49,17 @@ struct WidthSweepResult {
   }
 };
 
-/// Observability of one synthesize_width_set() call: how much of the sweep
-/// was served by the sweep-structured evaluation (see width_eval.hpp).
+/// Observability of one synthesize_width_set() call.
 struct WidthSetStats {
   int width_classes = 0;   ///< structural classes among the feasible widths
-  /// (candidate, width) results materialised from a shared structure
-  /// instead of being routed solo (certificate-accepted lanes included).
+  /// Retired, always 0, kept only because perfbench reads it.
   int shared_evals = 0;
-  /// (candidate, width) results whose routing outcome was width-dependent:
-  /// a path certificate rejected some flow, so the width's tail was resumed
-  /// (in a cohort or solo).
+  /// Retired, always 0, kept only because perfbench reads it.
   int fallback_evals = 0;
-  /// Lockstep survivors that needed >= 1 accepted path-level
-  /// route-equivalence certificate — traces that differ from the leader's
-  /// only in harmless near-tie flips (subset of shared_evals).
-  int certified_evals = 0;
-  /// Flow-level certificate acceptances across every lane (cohorts
-  /// included).
+  /// Retired, always 0, kept only because perfbench reads it.
   int certificate_accepts = 0;
-  /// Diverged (candidate, width) results RESOLVED by a cohort lockstep —
-  /// the cohort leader plus members that stayed locked to its tail (subset
-  /// of fallback_evals) — and the number of cohorts formed.
+  /// Retired, always 0, kept only because perfbench reads it.
   int cohort_evals = 0;
-  int cohort_groups = 0;
   /// Per-class partition-table slots served by the sweep's cross-width
   /// partition cache beyond the first computation of each distinct
   /// (island, switch count, max block size) min-cut problem.
@@ -80,11 +68,9 @@ struct WidthSetStats {
   /// streaming per-width merges (see SynthesisStats::
   /// peak_buffered_outcomes).
   int peak_buffered_outcomes = 0;
-  /// Candidate-level delta evaluation on the sweep's solo-schedule
-  /// evaluations (one-width classes and classes voted out of lockstep);
-  /// same meaning as the SynthesisStats::delta_* counters, summed across
-  /// every (candidate, width) of the set. Multi-width lockstep evaluations
-  /// already share whole structures, so delta does not apply there.
+  /// Candidate-level delta evaluation: same meaning as the
+  /// SynthesisStats::delta_* counters, summed across every (candidate,
+  /// width) of the set.
   int delta_candidates = 0;
   long long delta_flows_reused = 0;
   long long delta_flows_certified = 0;
@@ -92,12 +78,6 @@ struct WidthSetStats {
   int delta_cert_rejects = 0;
   int delta_members_skipped = 0;
 
-  /// Share of non-leader (candidate, width) results served from a shared
-  /// structure; 0 when the sweep had no followers.
-  [[nodiscard]] double shared_rate() const {
-    const int followers = shared_evals + fallback_evals;
-    return followers > 0 ? static_cast<double>(shared_evals) / followers : 0.0;
-  }
   /// Fraction of delta-eligible flows served without a live Dijkstra
   /// (see SynthesisStats::delta_reuse_rate).
   [[nodiscard]] double delta_reuse_rate() const {
@@ -108,23 +88,24 @@ struct WidthSetStats {
   }
 
   /// The canonical registry view of these stats: counters registered in the
-  /// `width_sweep_stats` record order, shared_rate/delta_reuse_rate as
-  /// gauges. io::registry_record of this registry IS the CLI's --json
-  /// width_sweep_stats record, and the `sharing:`/`delta:` console lines
-  /// read their values from it — one serialization path, no drift.
+  /// `width_sweep_stats` record order (the retired fields excluded),
+  /// delta_reuse_rate as a gauge. io::registry_record of this registry IS
+  /// the CLI's --json width_sweep_stats record, and the `sharing:`/`delta:`
+  /// console lines read their values from it — one serialization path, no
+  /// drift.
   [[nodiscard]] obs::Registry to_registry() const;
 };
 
 /// Core engine of the width sweep: synthesizes `spec` at every width of
 /// `widths` (entries parallel to it) with width-invariant work shared —
 /// ONE floorplan, flow order and traffic profile for the whole set; ONE
-/// min-cut partition per distinct (island, switch count, max block size)
-/// across all widths; and, for widths whose derived island parameters share
-/// a structural profile, ONE routed candidate structure evaluated at every
-/// width of the class with per-width capacity checks verified in the
-/// router's width lockstep (see vinoc/core/width_eval.hpp — widths whose
-/// routing outcome is width-dependent fall back to the classic per-width
-/// evaluation, detected soundly per decision).
+/// candidate enumeration per structural class (widths whose derived island
+/// parameters share max switch size and minimum switch count per island);
+/// ONE min-cut partition per distinct (island, switch count, max block
+/// size) across all widths; and ONE routing geometry per candidate across
+/// the widths of its class. Each (candidate, width) is then evaluated by
+/// evaluate_candidate() exactly as synthesize() would, with delta replay
+/// per (class, width).
 ///
 /// Every entry's SynthesisResult is bit-identical to
 /// synthesize(spec, base_options with that width) — same points, stats,

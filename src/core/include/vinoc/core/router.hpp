@@ -123,16 +123,8 @@ struct RouterScratch {
   /// Lazy (dist, index) min-heap of the per-flow Dijkstra; pops reproduce
   /// the dense scan's lowest-dist-then-lowest-index extraction exactly.
   std::vector<std::pair<double, int>> heap;
-  std::vector<std::vector<double>> lane_dist;  ///< per-lane dist arrays
-  std::vector<std::vector<std::pair<double, int>>> lane_heap;
-  /// Route-equivalence certificate state (one certificate runs at a time,
-  /// so the buffers are shared by every lane; see router.cpp).
-  std::vector<double> cert_dist;
-  std::vector<std::pair<double, int>> cert_heap;
-  std::vector<int> cert_pred;
-  std::vector<int> cert_pred_link;
-  /// Per-candidate routing geometry, reset by route_all_flows[_multi] and
-  /// shared by both passes (and, in lockstep mode, every lane).
+  /// Per-candidate routing geometry, reset by route_all_flows and shared by
+  /// both passes.
   RoutingGeometry geometry;
   /// Geometry reuse across route_all_flows calls of the SAME candidate
   /// topology (e.g. one candidate evaluated at several widths): callers that
@@ -143,52 +135,6 @@ struct RouterScratch {
   std::uint64_t geometry_built_token = 0;
   std::uint64_t geometry_token_counter = 0;  ///< for callers minting tokens
   NocTopology fallback;  ///< pristine pre-routing copy for the retry pass
-};
-
-/// One FOLLOWER width of a multi-width structure pass. The leader width
-/// routes; each lane re-derives every routing decision — capacity and port
-/// admissibility, wire-timing caps, link-opening costs, Dijkstra
-/// comparisons — from its own width/frequency tables with the follower's
-/// exact solo arithmetic. A per-decision mismatch no longer dooms the lane
-/// outright: the lane falls out of the per-decision lockstep for the
-/// CURRENT flow only, and once the leader's path for that flow is known the
-/// router runs the lane's PATH-LEVEL ROUTE-EQUIVALENCE CERTIFICATE — the
-/// lane's own full solo Dijkstra for the flow over the (proven-identical)
-/// shared state, with the lane's exact arithmetic and tie-breaks. When the
-/// certified path equals the leader's (same nodes, same reuse-vs-open link
-/// choices) the traces differed only in harmless near-tie flips: the
-/// topology mutation is identical, the lane re-locks, and sharing
-/// continues. Only a certificate REJECTION (a genuinely different path, or
-/// one side unroutable) marks the lane `diverged`. A lane that survives to
-/// the end is a proof its solo run would have produced the identical
-/// topology and routes, so the caller can materialise its result from the
-/// shared structure; a diverged lane must re-route its tail (cohort or solo
-/// — see vinoc/core/width_eval.hpp).
-struct WidthLane {
-  int width_bits = 0;
-  /// Per-switch tables at this lane's width (indexed like topo.switches).
-  std::vector<double> switch_freq;
-  std::vector<double> max_wire_len;  ///< read only when enforce_wire_timing
-  std::vector<int> max_ports;
-  /// Output: some routing decision differs from the leader's at this width
-  /// AND the path-level certificate rejected the flow it happened in.
-  bool diverged = false;
-  /// Internal (router-managed): the lane left the per-decision lockstep for
-  /// the current flow and awaits its certificate.
-  bool pending = false;
-  /// Output: the lane needed at least one accepted certificate — its trace
-  /// differs from the leader's even though every routed path is identical.
-  bool used_certificate = false;
-  /// Output: accepted flow-level certificates on this lane.
-  int certificate_accepts = 0;
-  /// On divergence: the shared topology as it stood BEFORE the flow whose
-  /// routing diverged (all earlier flows are proven identical), the
-  /// position of that flow in the routing order, and the pass (1 = greedy,
-  /// 2 = intermediate retry) it happened in. resume_route_flows() re-routes
-  /// only this width-dependent TAIL instead of the whole candidate.
-  NocTopology resume_topo;
-  int resume_order_pos = -1;
-  int resume_pass = 0;
 };
 
 /// One hop of a recorded reference route (see DeltaReference): the endpoint
@@ -373,50 +319,6 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                                         const RouterOptions& options,
                                         DeltaRouteState& delta);
 
-/// route_all_flows() for the LEADER width of `options` while verifying, per
-/// routing decision, that every lane in `lanes` would decide identically
-/// (see WidthLane). Pruning bounds are NOT consulted — the structure pass
-/// must run to completion so surviving lanes can be materialised from it;
-/// callers replay the bound trajectory per width afterwards (see
-/// vinoc/core/width_eval.hpp). `pass2_ran` (optional) reports whether the
-/// intermediate-island retry pass produced the outcome, which callers need
-/// to replay the per-width bound recording exactly.
-RouteOutcome route_all_flows_multi(NocTopology& topo, const soc::SocSpec& spec,
-                                   const RouterOptions& options,
-                                   std::vector<WidthLane>& lanes,
-                                   RouterScratch* scratch = nullptr,
-                                   bool* pass2_ran = nullptr,
-                                   RouteOutcome* pass1_failure = nullptr);
-
-/// Resumes a SOLO routing run mid-sequence: `topo` must hold the exact
-/// state after the first `resume_order_pos` flows of the routing order —
-/// routes filled for them, links carrying exactly their bandwidth — as
-/// captured by a diverged WidthLane (with its frequency fields patched to
-/// the resuming width). Routes the remaining flows with decisions
-/// bit-identical to a from-scratch run that routed the prefix the same
-/// way; the caller handles the intermediate-island retry itself (the
-/// resume covers a single pass). `options.forbid_direct_cross` selects
-/// which pass's rules apply.
-RouteOutcome resume_route_flows(NocTopology& topo, const soc::SocSpec& spec,
-                                const RouterOptions& options,
-                                int resume_order_pos,
-                                RouterScratch* scratch = nullptr);
-
-/// resume_route_flows() for a COHORT: the leader width of `options` resumes
-/// the tail while every lane in `lanes` verifies it in the same width
-/// lockstep (per-decision checks + path certificates) route_all_flows_multi
-/// runs — used by the sweep to resume lanes that diverged at the SAME
-/// decision with identical snapshots together instead of solo. With
-/// resume_order_pos == 0 this routes a whole pass from a pristine topology
-/// (the cohort form of the intermediate-island retry); the caller handles
-/// pass transitions itself, exactly as with resume_route_flows().
-RouteOutcome resume_route_flows_multi(NocTopology& topo,
-                                      const soc::SocSpec& spec,
-                                      const RouterOptions& options,
-                                      int resume_order_pos,
-                                      std::vector<WidthLane>& lanes,
-                                      RouterScratch* scratch = nullptr);
-
 /// Runtime toggle for the router's 4-wide relaxation filter (see
 /// vinoc/core/simd.hpp): results are bit-identical either way — the scalar
 /// path is the reference the tests compare against. Returns the previous
@@ -426,8 +328,7 @@ bool set_router_simd_enabled(bool enabled);
 
 /// Runtime toggle forcing the delta evaluator to VERIFY every would-be
 /// replay with the flow's own full solo Dijkstra (the route-equivalence
-/// certificate, sharing Router::choose_hop with the width-lane
-/// certificates) instead of trusting the in-sync proof or the cross-island
+/// certificate) instead of trusting the in-sync proof or the cross-island
 /// bound: a reuse whose certified path differs from the record is rejected
 /// — the islands taint and the certified path is used, so results stay
 /// bit-identical either way. Every whole-member skip is likewise re-derived

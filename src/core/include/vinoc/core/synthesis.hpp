@@ -152,21 +152,9 @@ struct SynthesisStats {
   double elapsed_seconds = 0.0;
 
   // --- Observability (excluded from result fingerprints; the fields below
-  // depend on worker scheduling and the sweep's adaptive lockstep vote, so
-  // they are NOT part of the bit-identity guarantee). ---
+  // depend on worker scheduling when threads != 1, so they are NOT part of
+  // the bit-identity guarantee). ---
 
-  /// Sweep-structured sharing telemetry of THIS width's results, filled by
-  /// synthesize_width_set (always 0 for a solo synthesize()): how each
-  /// candidate result was obtained — materialised from a shared structure
-  /// with a trace identical to the leader's (`width_shared`), shared via
-  /// >= 1 accepted path-level route-equivalence certificate
-  /// (`width_certified`, a subset of `width_shared`), tail resumed in a
-  /// same-decision cohort lockstep (`width_cohort`), or tail re-routed solo
-  /// after a genuine divergence (`width_fallback`).
-  int width_shared = 0;
-  int width_certified = 0;
-  int width_cohort = 0;
-  int width_fallback = 0;
   /// Delta-evaluation telemetry (options.delta_eval): member candidates
   /// whose evaluation ran with replay armed (a published group reference
   /// with a bit-equal power normalizer), and their per-flow tallies —

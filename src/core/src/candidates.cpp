@@ -34,110 +34,9 @@ bool has_cross_island_flows(const soc::SocSpec& spec) {
   return false;
 }
 
-/// Routes `out.point.topology` (switches placed, links empty) and finishes
-/// the evaluation: status, last bound checkpoint, compaction, signature,
-/// deadlock check, intermediate refinement and metrics.
-void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
-                      const RouterOptions& ropts, EvalScratch* scratch,
-                      const RouteBound* rbound, double base_avg_lat,
-                      DeltaReference* delta_record, DeltaRouteState* delta) {
-  const RouteOutcome outcome = [&] {
-    OBS_SPAN("route_flows");
-    const obs::PhaseScope obs_phase(obs::Phase::kRoute);
-    return route_all_flows(out.point.topology, ctx.spec, ropts,
-                           scratch != nullptr ? &scratch->router : nullptr,
-                           rbound, delta_record, delta);
-  }();
-  if (outcome.pruned) {
-    out.status = EvalStatus::kPruned;
-    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
-    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
-    return;
-  }
-  if (!outcome.success) {
-    out.status = outcome.latency_violation ? EvalStatus::kRejectedLatency
-                                           : EvalStatus::kRejectedUnroutable;
-    return;
-  }
-  out.status = EvalStatus::kRouted;
-  if (rbound != nullptr) {
-    // Record the LAST bound checkpoint of this evaluation: the router's
-    // per-flow bounds when they were active, else the pre-routing floor
-    // (the only checkpoint of a fallback-gated pass). The trajectory does
-    // not depend on which front was consulted, so the merge stage can
-    // re-check these values against the enumeration-ordered front and
-    // decide exactly what a sequential run would have decided.
-    out.pruned_power_lb_w =
-        outcome.bound_checked ? outcome.pruned_power_lb_w : rbound->base_power_lb_w;
-    out.pruned_latency_lb_cycles =
-        outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
-  }
-  // The router may leave some offered intermediate switches unused; drop
-  // them so designs deduplicate cleanly across k_int values (several k_int
-  // can collapse onto the same effective design).
-  out.point.intermediate_switches =
-      detail::compact_unused_intermediate(out.point.topology);
-  out.signature = detail::design_signature(out.point.topology);
-  out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
-                      is_deadlock_free(out.point.topology);
-  if (!out.deadlock_free) return;  // merge rejects it; skip the metrics
-  detail::refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec,
-                                        scratch);
-  OBS_SPAN("compute_metrics");
-  const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
-  out.point.metrics =
-      compute_metrics(out.point.topology, ctx.spec, ctx.options.tech,
-                      ctx.options.link_width_bits,
-                      scratch != nullptr ? &scratch->metrics : nullptr);
-}
-
-/// The forced-mode comparison of a whole-member skip against the full
-/// evaluation: status, design signature, deadlock verdict and metrics.
-bool same_routed_outcome(const CandidateOutcome& a, const CandidateOutcome& b) {
-  auto metrics = [](const Metrics& m) {
-    return std::tie(m.noc_dynamic_w, m.switch_dynamic_w, m.link_dynamic_w,
-                    m.ni_dynamic_w, m.fifo_dynamic_w, m.noc_leakage_w,
-                    m.noc_area_mm2, m.avg_latency_cycles, m.max_latency_cycles,
-                    m.total_wire_mm, m.switch_count, m.link_count, m.fifo_count,
-                    m.max_switch_ports);
-  };
-  return a.status == b.status && a.signature == b.signature &&
-         a.deadlock_free == b.deadlock_free &&
-         metrics(a.point.metrics) == metrics(b.point.metrics);
-}
-
-}  // namespace
-
-namespace detail {
-
-IslandPartition partition_island_mincut(const soc::SocSpec& spec,
-                                        const SynthesisOptions& opts,
-                                        const VcgScaling& scaling,
-                                        soc::IslandId island, int switch_count,
-                                        int max_sw_size) {
-  const auto cores = spec.cores_in_island(island);
-  IslandPartition part;
-  part.blocks.resize(static_cast<std::size_t>(switch_count));
-  if (!cores.empty()) {
-    const graph::Digraph vcg = build_vcg(spec, island, opts.alpha, scaling);
-    partition::KwayOptions kopts;
-    kopts.blocks = switch_count;
-    const int max_size = max_sw_size - opts.port_reserve;
-    kopts.max_block_size = static_cast<std::size_t>(std::max(max_size, 1));
-    kopts.seed = opts.partition_seed;
-    const partition::PartitionResult res = partition::kway_mincut(vcg, kopts);
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      part.blocks[static_cast<std::size_t>(res.block_of[i])].push_back(cores[i]);
-    }
-  }
-  // Drop empty blocks (the partitioner may not use all of them when the
-  // island has fewer cores than requested switches).
-  part.blocks.erase(std::remove_if(part.blocks.begin(), part.blocks.end(),
-                                   [](const auto& b) { return b.empty(); }),
-                    part.blocks.end());
-  return part;
-}
-
+/// Builds the switch set for one configuration: one switch per partition
+/// block at the traffic-weighted centroid of its cores, plus `k_int`
+/// intermediate switches around the chip centre.
 void build_switches(NocTopology& topo, const EvalContext& ctx,
                     const std::vector<const IslandPartition*>& parts, int k_int,
                     EvalScratch* scratch) {
@@ -205,6 +104,8 @@ void build_switches(NocTopology& topo, const EvalContext& ctx,
   }
 }
 
+/// Moves each intermediate switch to the traffic-weighted centroid of its
+/// link partners and refreshes wire lengths.
 void refine_intermediate_positions(NocTopology& topo, const floorplan::Floorplan& fp,
                                    const soc::SocSpec& spec, EvalScratch* scratch) {
   std::vector<floorplan::Point> local_pts;
@@ -243,6 +144,8 @@ void refine_intermediate_positions(NocTopology& topo, const floorplan::Floorplan
   }
 }
 
+/// Drops intermediate switches that ended up with no links and remaps all
+/// indices in place. Returns the number of intermediate switches kept.
 int compact_unused_intermediate(NocTopology& topo) {
   const std::size_t n = topo.switches.size();
   std::vector<bool> used(n, false);
@@ -281,6 +184,7 @@ int compact_unused_intermediate(NocTopology& topo) {
   return kept_intermediate;
 }
 
+/// Structural design signature for order-dependent deduplication.
 std::vector<int> design_signature(const NocTopology& topo) {
   std::vector<int> sig;
   sig.reserve(1 + topo.switch_of_core.size() + 2 * topo.links.size());
@@ -293,16 +197,26 @@ std::vector<int> design_signature(const NocTopology& topo) {
   return sig;
 }
 
-BaseBoundParts compute_base_bound_parts(const soc::SocSpec& spec,
-                                        const NocTopology& topo,
-                                        const models::Technology& tech,
-                                        double ni_dynamic_base_w,
-                                        const std::vector<double>& core_traffic,
-                                        std::vector<double>& min_flow_latency,
-                                        std::vector<double>& switch_bw_floor,
-                                        std::vector<double>& switch_ebit_floor) {
+/// Pre-routing Pareto bound (see prune.hpp) of a placed topology.
+struct BaseBound {
+  double power_w = 0.0;             ///< lower bound on noc_dynamic_w
+  double latency_sum_cycles = 0.0;  ///< Σ min_flow_latency
+};
+
+/// Fills min_flow_latency / switch_bw_floor / switch_ebit_floor (indexed
+/// like topo.switches) and returns the pre-routing bound: the NI and NI-wire
+/// power plus each switch's dynamic-power floor at its own frequency, and
+/// the per-flow latency floors.
+BaseBound compute_base_bound(const soc::SocSpec& spec, const NocTopology& topo,
+                             const models::Technology& tech,
+                             double ni_dynamic_base_w,
+                             const std::vector<double>& core_traffic,
+                             std::vector<double>& min_flow_latency,
+                             std::vector<double>& switch_bw_floor,
+                             std::vector<double>& switch_ebit_floor) {
   const models::LinkModel link_model(tech);
-  BaseBoundParts out;
+  const models::SwitchModel sw_model(tech);
+  BaseBound out;
 
   min_flow_latency.assign(spec.flows.size(), 0.0);
   switch_bw_floor.assign(topo.switches.size(), 0.0);
@@ -322,17 +236,16 @@ BaseBoundParts compute_base_bound_parts(const soc::SocSpec& spec,
       lat = 2.0 + 2.0 * pipe + fifo;  // at least one crossing hop
     }
     min_flow_latency[f] = lat;
-    out.latency_sum_lb_cycles += lat;
+    out.latency_sum_cycles += lat;
 
     const double bw = flow.bandwidth_bits_per_s;
     switch_bw_floor[static_cast<std::size_t>(s_sw)] += bw;
     if (d_sw != s_sw) switch_bw_floor[static_cast<std::size_t>(d_sw)] += bw;
   }
 
-  out.power_prefix_w = ni_dynamic_base_w;
+  out.power_w = ni_dynamic_base_w;
   for (std::size_t c = 0; c < spec.cores.size(); ++c) {
-    out.power_prefix_w +=
-        link_model.dynamic_power_w(topo.ni_wire_mm[c], core_traffic[c]);
+    out.power_w += link_model.dynamic_power_w(topo.ni_wire_mm[c], core_traffic[c]);
   }
   switch_ebit_floor.assign(topo.switches.size(), 0.0);
   for (std::size_t s = 0; s < topo.switches.size(); ++s) {
@@ -346,22 +259,117 @@ BaseBoundParts compute_base_bound_parts(const soc::SocSpec& spec,
                             tech.sw_energy_per_port_pj_per_bit * (core_ports + 1)) *
                            1e-12;
   }
+  for (std::size_t s = 0; s < topo.switches.size(); ++s) {
+    const int core_ports = static_cast<int>(topo.switches[s].cores.size());
+    out.power_w += sw_model.dynamic_power_w(core_ports, core_ports,
+                                            topo.switches[s].freq_hz,
+                                            switch_bw_floor[s]);
+  }
   return out;
 }
 
-double base_power_with_floor(const BaseBoundParts& parts,
-                             const NocTopology& topo,
-                             const models::Technology& tech,
-                             const std::vector<double>& switch_bw_floor,
-                             const std::vector<double>& freq_of) {
-  const models::SwitchModel sw_model(tech);
-  double acc = parts.power_prefix_w;
-  for (std::size_t s = 0; s < topo.switches.size(); ++s) {
-    const int core_ports = static_cast<int>(topo.switches[s].cores.size());
-    acc += sw_model.dynamic_power_w(core_ports, core_ports, freq_of[s],
-                                    switch_bw_floor[s]);
+/// Routes `out.point.topology` (switches placed, links empty) and finishes
+/// the evaluation: status, last bound checkpoint, compaction, signature,
+/// deadlock check, intermediate refinement and metrics.
+void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
+                      const RouterOptions& ropts, EvalScratch* scratch,
+                      const RouteBound* rbound, double base_avg_lat,
+                      DeltaReference* delta_record, DeltaRouteState* delta) {
+  const RouteOutcome outcome = [&] {
+    OBS_SPAN("route_flows");
+    const obs::PhaseScope obs_phase(obs::Phase::kRoute);
+    return route_all_flows(out.point.topology, ctx.spec, ropts,
+                           scratch != nullptr ? &scratch->router : nullptr,
+                           rbound, delta_record, delta);
+  }();
+  if (outcome.pruned) {
+    out.status = EvalStatus::kPruned;
+    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
+    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
+    return;
   }
-  return acc;
+  if (!outcome.success) {
+    out.status = outcome.latency_violation ? EvalStatus::kRejectedLatency
+                                           : EvalStatus::kRejectedUnroutable;
+    return;
+  }
+  out.status = EvalStatus::kRouted;
+  if (rbound != nullptr) {
+    // Record the LAST bound checkpoint of this evaluation: the router's
+    // per-flow bounds when they were active, else the pre-routing floor
+    // (the only checkpoint of a fallback-gated pass). The trajectory does
+    // not depend on which front was consulted, so the merge stage can
+    // re-check these values against the enumeration-ordered front and
+    // decide exactly what a sequential run would have decided.
+    out.pruned_power_lb_w =
+        outcome.bound_checked ? outcome.pruned_power_lb_w : rbound->base_power_lb_w;
+    out.pruned_latency_lb_cycles =
+        outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
+  }
+  // The router may leave some offered intermediate switches unused; drop
+  // them so designs deduplicate cleanly across k_int values (several k_int
+  // can collapse onto the same effective design).
+  out.point.intermediate_switches =
+      compact_unused_intermediate(out.point.topology);
+  out.signature = design_signature(out.point.topology);
+  out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
+                      is_deadlock_free(out.point.topology);
+  if (!out.deadlock_free) return;  // merge rejects it; skip the metrics
+  refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec,
+                                scratch);
+  OBS_SPAN("compute_metrics");
+  const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
+  out.point.metrics =
+      compute_metrics(out.point.topology, ctx.spec, ctx.options.tech,
+                      ctx.options.link_width_bits,
+                      scratch != nullptr ? &scratch->metrics : nullptr);
+}
+
+/// The forced-mode comparison of a whole-member skip against the full
+/// evaluation: status, design signature, deadlock verdict and metrics.
+bool same_routed_outcome(const CandidateOutcome& a, const CandidateOutcome& b) {
+  auto metrics = [](const Metrics& m) {
+    return std::tie(m.noc_dynamic_w, m.switch_dynamic_w, m.link_dynamic_w,
+                    m.ni_dynamic_w, m.fifo_dynamic_w, m.noc_leakage_w,
+                    m.noc_area_mm2, m.avg_latency_cycles, m.max_latency_cycles,
+                    m.total_wire_mm, m.switch_count, m.link_count, m.fifo_count,
+                    m.max_switch_ports);
+  };
+  return a.status == b.status && a.signature == b.signature &&
+         a.deadlock_free == b.deadlock_free &&
+         metrics(a.point.metrics) == metrics(b.point.metrics);
+}
+
+}  // namespace
+
+namespace detail {
+
+IslandPartition partition_island_mincut(const soc::SocSpec& spec,
+                                        const SynthesisOptions& opts,
+                                        const VcgScaling& scaling,
+                                        soc::IslandId island, int switch_count,
+                                        int max_sw_size) {
+  const auto cores = spec.cores_in_island(island);
+  IslandPartition part;
+  part.blocks.resize(static_cast<std::size_t>(switch_count));
+  if (!cores.empty()) {
+    const graph::Digraph vcg = build_vcg(spec, island, opts.alpha, scaling);
+    partition::KwayOptions kopts;
+    kopts.blocks = switch_count;
+    const int max_size = max_sw_size - opts.port_reserve;
+    kopts.max_block_size = static_cast<std::size_t>(std::max(max_size, 1));
+    kopts.seed = opts.partition_seed;
+    const partition::PartitionResult res = partition::kway_mincut(vcg, kopts);
+    for (std::size_t i = 0; i < cores.size(); ++i) {
+      part.blocks[static_cast<std::size_t>(res.block_of[i])].push_back(cores[i]);
+    }
+  }
+  // Drop empty blocks (the partitioner may not use all of them when the
+  // island has fewer cores than requested switches).
+  part.blocks.erase(std::remove_if(part.blocks.begin(), part.blocks.end(),
+                                   [](const auto& b) { return b.empty(); }),
+                    part.blocks.end());
+  return part;
 }
 
 }  // namespace detail
@@ -502,8 +510,8 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     parts[isl] = &ctx.partitions.at(
         PartitionKey{static_cast<soc::IslandId>(isl), cand.switches_per_island[isl]});
   }
-  detail::build_switches(out.point.topology, ctx, parts, cand.intermediate_switches,
-                         scratch);
+  build_switches(out.point.topology, ctx, parts, cand.intermediate_switches,
+                 scratch);
 
   // Pareto-bound pruning: reject before routing when the pre-routing floor
   // is already dominated, otherwise hand the bound to the router for
@@ -522,30 +530,21 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
         scratch != nullptr ? scratch->switch_bw_floor : local_bw_floor;
     std::vector<double>& ebit_floor =
         scratch != nullptr ? scratch->switch_ebit_floor : local_ebit_floor;
-    const detail::BaseBoundParts parts_lb = detail::compute_base_bound_parts(
+    const BaseBound base = compute_base_bound(
         ctx.spec, out.point.topology, ctx.options.tech, ctx.ni_dynamic_base_w,
         ctx.core_traffic, min_lat, bw_floor, ebit_floor);
-    std::vector<double> local_freqs;
-    std::vector<double>& freqs =
-        scratch != nullptr ? scratch->switch_freq : local_freqs;
-    freqs.assign(out.point.topology.switches.size(), 0.0);
-    for (std::size_t s = 0; s < freqs.size(); ++s) {
-      freqs[s] = out.point.topology.switches[s].freq_hz;
-    }
-    const double base_power = detail::base_power_with_floor(
-        parts_lb, out.point.topology, ctx.options.tech, bw_floor, freqs);
     const double n_flows = static_cast<double>(ctx.spec.flows.size());
     base_avg_lat =
-        ctx.spec.flows.empty() ? 0.0 : parts_lb.latency_sum_lb_cycles / n_flows;
-    if (bound->dominated(base_power, base_avg_lat)) {
+        ctx.spec.flows.empty() ? 0.0 : base.latency_sum_cycles / n_flows;
+    if (bound->dominated(base.power_w, base_avg_lat)) {
       out.status = EvalStatus::kPruned;
-      out.pruned_power_lb_w = base_power;
+      out.pruned_power_lb_w = base.power_w;
       out.pruned_latency_lb_cycles = base_avg_lat;
       return out;
     }
     rbound.front = bound;
-    rbound.base_power_lb_w = base_power;
-    rbound.base_latency_sum_cycles = parts_lb.latency_sum_lb_cycles;
+    rbound.base_power_lb_w = base.power_w;
+    rbound.base_latency_sum_cycles = base.latency_sum_cycles;
     rbound.min_flow_latency = &min_lat;
     rbound.switch_ebit_floor = &ebit_floor;
   }
@@ -600,7 +599,7 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
       // candidate's own outcome stays the pruned one.
       CandidateOutcome full;
       full.point.switches_per_island = cand.switches_per_island;
-      detail::build_switches(full.point.topology, ctx, parts, 0, scratch);
+      build_switches(full.point.topology, ctx, parts, 0, scratch);
       route_and_finish(ctx, full, ropts, scratch, nullptr, 0.0, delta_record,
                        nullptr);
       if (full.status == EvalStatus::kRouted) {

@@ -1,19 +1,18 @@
 #include "vinoc/core/explore.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "eval_internal.hpp"
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/pareto.hpp"
 #include "vinoc/core/prune.hpp"
-#include "vinoc/core/width_eval.hpp"
 #include "vinoc/exec/ordered_drain.hpp"
 #include "vinoc/exec/parallel_for.hpp"
 #include "vinoc/obs/profile.hpp"
@@ -24,18 +23,62 @@ namespace vinoc::core {
 
 namespace {
 
-/// One structural class of the sweep: widths whose derived island params
-/// share max_sw_size / min_switches per island (frequencies may differ —
-/// the lockstep verifies those per decision). All of them enumerate the
-/// same candidates and read the same partition table.
+/// One width's derived inputs.
+struct WidthSlice {
+  SynthesisOptions options;  ///< base options with link_width_bits set
+  std::vector<IslandNocParams> island_params;
+  IslandNocParams intermediate_params;
+};
+
+/// Structural profile of one width: widths with equal keys (max switch size
+/// and minimum switch count per island; frequencies may differ) enumerate
+/// the same candidates and read the same partition table. An infeasible
+/// width gets an empty key and must not be grouped.
+std::vector<int> width_class_key(
+    const std::vector<IslandNocParams>& island_params) {
+  std::vector<int> key;
+  key.reserve(2 * island_params.size());
+  for (const IslandNocParams& p : island_params) {
+    if (p.core_count > 0 && p.max_sw_size == 0) return {};  // infeasible
+    key.push_back(p.max_sw_size);
+    key.push_back(p.min_switches);
+  }
+  return key;
+}
+
+/// One structural class of the sweep: widths with the same
+/// width_class_key, which share one candidate list and partition table.
 struct WidthClass {
   std::vector<std::size_t> width_indices;  ///< into the sweep's width list
   std::vector<CandidateConfig> candidates;
   PartitionTable partitions;
-  MultiWidthContext mctx;  ///< slices parallel to width_indices
-  /// Single-width contexts (one per slice) for the solo schedule once the
-  /// class's lockstep has been voted off (see below).
-  std::vector<MultiWidthContext> solo_ctx;
+};
+
+/// Candidate-level delta evaluation of one class: the same group map as
+/// synthesize() — consecutive candidates sharing switches_per_island — with
+/// one reference slot per (width, group), since the recorded hop sequences
+/// are width-dependent (frequencies and capacities differ). Publication is
+/// opportunistic; members without a published reference evaluate solo.
+struct DeltaPlan {
+  std::vector<int> group_of;    ///< per candidate of the class
+  std::vector<char> leader;     ///< per candidate: first of its group
+  std::vector<int> group_size;  ///< per group
+  /// refs[j * group_size.size() + g] for width slot j, group g.
+  std::vector<std::shared_ptr<const DeltaReference>> refs;
+  std::mutex mutex;
+};
+
+/// Per-class evaluation contexts and STREAMING per-width merges: a
+/// candidate whose enumeration-order predecessors have all merged is merged
+/// and released as soon as it finishes, so the sweep buffers only the
+/// out-of-order window instead of every width's outcome list.
+struct ClassState {
+  explicit ClassState(std::size_t n_candidates) : queue(n_candidates) {}
+  /// Per-candidate batches (one outcome per width of the class), merged in
+  /// enumeration order as predecessors finish.
+  exec::OrderedDrainQueue<std::vector<CandidateOutcome>> queue;
+  std::vector<EvalContext> ctx;        ///< per width of the class
+  std::vector<OutcomeMerger> mergers;  ///< parallel to ctx
 };
 
 }  // namespace
@@ -156,44 +199,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       wc.partitions.slot(i) =
           partition_cache.at(CacheKey{key.first, key.second, max_sw});
     }
-    wc.mctx.spec = &spec;
-    wc.mctx.floorplan = &plan;
-    wc.mctx.partitions = &wc.partitions;
-    wc.mctx.core_traffic = &traffic;
-    wc.mctx.flow_order = &flow_order;
-    wc.mctx.ni_dynamic_base_w = ni_base;
-    for (const std::size_t wi : wc.width_indices) {
-      wc.mctx.slices.push_back(slices[wi]);
-    }
-    for (const std::size_t wi : wc.width_indices) {
-      MultiWidthContext solo;
-      solo.spec = wc.mctx.spec;
-      solo.floorplan = wc.mctx.floorplan;
-      solo.partitions = wc.mctx.partitions;
-      solo.core_traffic = wc.mctx.core_traffic;
-      solo.flow_order = wc.mctx.flow_order;
-      solo.ni_dynamic_base_w = wc.mctx.ni_dynamic_base_w;
-      solo.slices.push_back(slices[wi]);
-      wc.solo_ctx.push_back(std::move(solo));
-    }
   }
 
-  // Candidate-level delta evaluation on the sweep's SOLO schedule (one-width
-  // classes, and classes voted out of lockstep below): same group map as
-  // synthesize() — consecutive candidates sharing switches_per_island — with
-  // one reference slot per (class, width) since the recorded hop sequences
-  // are width-dependent (frequencies and capacities differ). Publication is
-  // opportunistic; members without a published reference evaluate solo.
-  // Lockstep evaluations don't participate: they already share whole routed
-  // structures across widths.
-  struct DeltaPlan {
-    std::vector<int> group_of;   ///< per candidate of the class
-    std::vector<char> leader;    ///< per candidate: first of its group
-    std::vector<int> group_size; ///< per group
-    /// refs[j * group_size.size() + g] for width slot j, group g.
-    std::vector<std::shared_ptr<const DeltaReference>> refs;
-    std::mutex mutex;
-  };
   std::vector<std::unique_ptr<DeltaPlan>> delta_plans(classes.size());
   if (base_options.delta_eval) {
     for (std::size_t c = 0; c < classes.size(); ++c) {
@@ -234,17 +241,13 @@ std::vector<WidthSweepEntry> synthesize_width_set(
         classes[c].candidates.size() * classes[c].width_indices.size();
   }
 
-  // Per-width shared Pareto bounds (prune snapshots for solo fallbacks and
-  // the every-width-dominated early abandon; the merge below restores exact
-  // sequential pruning semantics regardless of snapshot timing).
+  // Per-width shared Pareto bounds (prune snapshots; the merge below
+  // restores exact sequential pruning semantics regardless of snapshot
+  // timing). With pruning on, an empty snapshot becomes this empty bound,
+  // so the checkpoint lower bounds are recorded for EVERY evaluation.
   std::vector<SharedParetoBound> bounds(widths.size());
+  const ParetoBound empty_bound;
 
-  // Per-width result shells plus STREAMING per-(class, width) merges: a
-  // candidate whose enumeration-order predecessors have all merged is
-  // merged and released as soon as it finishes, so the sweep buffers only
-  // the out-of-order window instead of every width's outcome list
-  // (ROADMAP (a); the high-water mark is reported in
-  // SynthesisStats::peak_buffered_outcomes).
   for (std::size_t i = 0; i < widths.size(); ++i) {
     if (!entries[i].feasible) continue;
     SynthesisResult& result = entries[i].result;
@@ -252,92 +255,46 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     result.island_params = slices[i].island_params;
     result.intermediate_params = slices[i].intermediate_params;
   }
-  struct ClassMergeState {
-    explicit ClassMergeState(std::size_t n_candidates) : queue(n_candidates) {}
-    /// Per-candidate batches (one outcome per width of the class), merged
-    /// in enumeration order as predecessors finish.
-    exec::OrderedDrainQueue<std::vector<CandidateOutcome>> queue;
-    std::vector<EvalContext> replay_ctx;  ///< per width of the class
-    std::vector<OutcomeMerger> mergers;   ///< parallel to replay_ctx
-  };
-  std::vector<std::unique_ptr<ClassMergeState>> merge_states;
-  merge_states.reserve(classes.size());
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    WidthClass& wc = classes[c];
-    auto ms = std::make_unique<ClassMergeState>(wc.candidates.size());
-    ms->replay_ctx.reserve(wc.width_indices.size());
-    ms->mergers.reserve(wc.width_indices.size());
+  std::vector<std::unique_ptr<ClassState>> class_states;
+  class_states.reserve(classes.size());
+  for (const WidthClass& wc : classes) {
+    auto cs = std::make_unique<ClassState>(wc.candidates.size());
+    cs->ctx.reserve(wc.width_indices.size());
+    cs->mergers.reserve(wc.width_indices.size());
     for (const std::size_t wi : wc.width_indices) {
-      ms->replay_ctx.push_back(EvalContext{spec,
-                                           plan,
-                                           slices[wi].island_params,
-                                           slices[wi].intermediate_params,
-                                           wc.partitions,
-                                           traffic,
-                                           slices[wi].options,
-                                           &flow_order,
-                                           ni_base});
+      cs->ctx.push_back(EvalContext{spec,
+                                    plan,
+                                    slices[wi].island_params,
+                                    slices[wi].intermediate_params,
+                                    wc.partitions,
+                                    traffic,
+                                    slices[wi].options,
+                                    &flow_order,
+                                    ni_base});
     }
     for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
-      const EvalContext* rctx = &ms->replay_ctx[j];
-      ms->mergers.emplace_back(
+      const EvalContext* ctx = &cs->ctx[j];
+      cs->mergers.emplace_back(
           slices[wc.width_indices[j]].options,
-          [rctx, &wc, &scratch](std::size_t k, const ParetoBound& bound) {
-            return evaluate_candidate(*rctx, wc.candidates[k], &scratch.local(),
+          [ctx, &wc, &scratch](std::size_t k, const ParetoBound& bound) {
+            return evaluate_candidate(*ctx, wc.candidates[k], &scratch.local(),
                                       &bound);
           },
           entries[wc.width_indices[j]].result);
     }
-    merge_states.push_back(std::move(ms));
+    class_states.push_back(std::move(cs));
   }
 
-  // Sweep-global share counters accumulate in per-worker obs registry
-  // shards and merge deterministically after the pool joins; WidthSetStats
-  // is a derived view of the merged registry. The buffered-outcome
-  // high-water mark is the one exception: it is a RUNNING global sum (no
-  // per-shard decomposition exists), so it stays an atomic CAS-max and is
-  // folded into the registry afterwards.
-  obs::ShardedRegistry metrics;
+  // Per-width delta counters accumulate in per-worker obs registry shards
+  // and merge deterministically after the pool joins, as in synthesize().
+  // The buffered-outcome high-water mark is a RUNNING global sum (no
+  // per-shard decomposition exists), so it stays an atomic CAS-max.
+  std::vector<obs::ShardedRegistry> delta_metrics(widths.size());
   std::atomic<int> buffered_outcomes{0};
   std::atomic<int> peak_buffered{0};
-  // Per-width share-class attribution for SynthesisStats (observability;
-  // scheduling-dependent, see synthesis.hpp).
-  std::vector<std::atomic<int>> width_shared(widths.size());
-  std::vector<std::atomic<int>> width_certified(widths.size());
-  std::vector<std::atomic<int>> width_cohort(widths.size());
-  std::vector<std::atomic<int>> width_fallback(widths.size());
-  std::vector<std::atomic<int>> delta_cands_w(widths.size());
-  std::vector<std::atomic<long long>> delta_reused_w(widths.size());
-  std::vector<std::atomic<long long>> delta_certified_w(widths.size());
-  std::vector<std::atomic<long long>> delta_rerouted_w(widths.size());
-  std::vector<std::atomic<int>> delta_rejects_w(widths.size());
-  std::vector<std::atomic<int>> delta_skipped_w(widths.size());
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    width_shared[i].store(0);
-    width_certified[i].store(0);
-    width_cohort[i].store(0);
-    width_fallback[i].store(0);
-    delta_cands_w[i].store(0);
-    delta_reused_w[i].store(0);
-    delta_certified_w[i].store(0);
-    delta_rerouted_w[i].store(0);
-    delta_rejects_w[i].store(0);
-    delta_skipped_w[i].store(0);
-  }
   std::mutex progress_mutex;
   std::size_t progress_done = 0;
   const auto on_progress = base_options.on_progress;
-
-  // Adaptive lockstep: both evaluation paths are bit-identical, so WHICH
-  // one computes a candidate is a pure scheduling choice. The first few
-  // candidates of a class probe the lockstep; when every lane diverges on
-  // all of them (the widths' routing is systematically width-dependent —
-  // different snapped frequencies shift every opening cost), the class
-  // stops paying for lane verification and evaluates the remaining
-  // candidates solo per width.
-  constexpr std::size_t kLockstepProbes = 2;
-  std::vector<std::atomic<int>> lockstep_vote(classes.size());
-  for (auto& v : lockstep_vote) v.store(0);
 
   exec::parallel_for_each(pool, units.size(), [&](std::size_t u) {
     OBS_SPAN("sweep_unit");
@@ -347,136 +304,74 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       base_options.cancel->check("synthesize_width_set");
     }
     const Unit unit = units[u];
-    WidthClass& wc = classes[unit.class_id];
+    const WidthClass& wc = classes[unit.class_id];
+    ClassState& cs = *class_states[unit.class_id];
+    const CandidateConfig& cand = wc.candidates[unit.cand_id];
     EvalScratch& es = scratch.local();
-    // Per-width front snapshots (kept alive for the whole evaluation).
-    std::vector<std::shared_ptr<const ParetoBound>> snaps;
-    std::vector<const ParetoBound*> fronts(wc.width_indices.size(), nullptr);
-    if (base_options.prune) {
-      snaps.resize(wc.width_indices.size());
-      for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
-        snaps[j] = bounds[wc.width_indices[j]].snapshot();
-        fronts[j] = snaps[j].get();
+    DeltaPlan* dp = delta_plans[unit.class_id].get();
+    const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
+    std::vector<CandidateOutcome> outs(wc.width_indices.size());
+    // Each width evaluates exactly like the synthesize() worker body. One
+    // geometry token spans all widths of the candidate: switch positions
+    // and admissibility are width-invariant, so the hop/leakage matrices
+    // and class runs are built once.
+    es.router.geometry_token = ++es.router.geometry_token_counter;
+    for (std::size_t j = 0; j < outs.size(); ++j) {
+      const std::size_t wi = wc.width_indices[j];
+      std::shared_ptr<const ParetoBound> snap;
+      const ParetoBound* bound = nullptr;
+      if (base_options.prune) {
+        snap = bounds[wi].snapshot();
+        bound = snap != nullptr ? snap.get() : &empty_bound;
       }
-    }
-    const bool probe = unit.cand_id < kLockstepProbes;
-    const bool lockstep =
-        wc.width_indices.size() > 1 &&
-        (probe || lockstep_vote[unit.class_id].load(std::memory_order_relaxed) >= 0);
-    WidthEvalCounters counters;
-    std::vector<CandidateOutcome> outs;
-    if (lockstep) {
-      outs = evaluate_candidate_widths(wc.mctx, wc.candidates[unit.cand_id], &es,
-                                       base_options.prune ? &fronts : nullptr,
-                                       &counters);
-    } else {
-      // Lockstep disabled for this class: evaluate each width solo through
-      // the same entry point. One geometry token spans all widths of the
-      // candidate, so the hop/leakage matrices and class runs are still
-      // built once (positions and admissibility are width-invariant).
-      // Solo evaluations compose with the delta evaluator: per (class,
-      // width), the group reference's hop record replays for adjacent group
-      // members exactly as in synthesize().
-      DeltaPlan* dp = delta_plans[unit.class_id].get();
-      const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
-      outs.resize(wc.mctx.slices.size());
-      es.router.geometry_token = ++es.router.geometry_token_counter;
-      for (std::size_t j = 0; j < wc.mctx.slices.size(); ++j) {
-        std::shared_ptr<DeltaReference> rec;
-        std::shared_ptr<const DeltaReference> ref;
-        DeltaRouteState* delta = nullptr;
-        const std::size_t slot =
-            j * (dp != nullptr ? dp->group_size.size() : 0) +
-            static_cast<std::size_t>(g);
-        if (dp != nullptr) {
-          if (dp->leader[unit.cand_id]) {
-            if (dp->group_size[g] > 1) rec = std::make_shared<DeltaReference>();
-          } else {
-            {
-              const std::lock_guard<std::mutex> lock(dp->mutex);
-              ref = dp->refs[slot];
-            }
-            if (ref != nullptr) {
-              es.delta.ref = ref.get();
-              delta = &es.delta;
-            }
+      // Delta evaluation: per (class, width), the group reference's hop
+      // record replays for adjacent group members exactly as in
+      // synthesize().
+      std::shared_ptr<DeltaReference> rec;
+      std::shared_ptr<const DeltaReference> ref;
+      DeltaRouteState* delta = nullptr;
+      const std::size_t slot =
+          j * (dp != nullptr ? dp->group_size.size() : 0) +
+          static_cast<std::size_t>(g);
+      if (dp != nullptr) {
+        if (dp->leader[unit.cand_id]) {
+          if (dp->group_size[g] > 1) rec = std::make_shared<DeltaReference>();
+        } else {
+          {
+            const std::lock_guard<std::mutex> lock(dp->mutex);
+            ref = dp->refs[slot];
           }
-        }
-        std::vector<const ParetoBound*> solo_front(1, fronts[j]);
-        std::vector<CandidateOutcome> one = evaluate_candidate_widths(
-            wc.solo_ctx[j], wc.candidates[unit.cand_id], &es,
-            base_options.prune ? &solo_front : nullptr, &counters, rec.get(),
-            delta);
-        outs[j] = std::move(one.front());
-        if (rec != nullptr && rec->valid) {
-          const std::lock_guard<std::mutex> lock(dp->mutex);
-          dp->refs[slot] = std::move(rec);
-        }
-        if (delta != nullptr) {
-          es.delta.ref = nullptr;  // `ref` dies with this width slot
-          if (delta->pnorm_matched) {
-            const std::size_t wi = wc.width_indices[j];
-            delta_cands_w[wi].fetch_add(1, std::memory_order_relaxed);
-            delta_reused_w[wi].fetch_add(delta->flows_reused,
-                                         std::memory_order_relaxed);
-            delta_certified_w[wi].fetch_add(delta->flows_certified,
-                                            std::memory_order_relaxed);
-            delta_rerouted_w[wi].fetch_add(delta->flows_rerouted,
-                                           std::memory_order_relaxed);
-            delta_rejects_w[wi].fetch_add(delta->cert_rejects,
-                                          std::memory_order_relaxed);
-            delta_skipped_w[wi].fetch_add(delta->member_skipped ? 1 : 0,
-                                          std::memory_order_relaxed);
+          if (ref != nullptr) {
+            es.delta.ref = ref.get();
+            delta = &es.delta;
           }
         }
       }
-      es.router.geometry_token = 0;
-    }
-    if (probe && wc.width_indices.size() > 1) {
-      // Vote: a probe candidate where nothing was shared votes the class
-      // out of lockstep; one where sharing worked locks it in.
-      lockstep_vote[unit.class_id].fetch_add(counters.shared > 0 ? 1000 : -1,
-                                             std::memory_order_relaxed);
-    }
-    {
-      obs::Registry& shard = metrics.local();
-      shard.add("shared_evals", counters.shared);
-      shard.add("fallback_evals", counters.fallback);
-      shard.add("certified_evals", counters.certified);
-      shard.add("certificate_accepts", counters.certificate_accepts);
-      shard.add("cohort_evals", counters.cohort_lanes);
-      shard.add("cohort_groups", counters.cohort_groups);
-    }
-    if (lockstep) {
-      for (std::size_t j = 0; j < counters.slice_class.size(); ++j) {
-        const std::size_t wi = wc.width_indices[j];
-        switch (counters.slice_class[j]) {
-          case ShareClass::kCertified:
-            ++width_certified[wi];
-            [[fallthrough]];
-          case ShareClass::kShared:
-            ++width_shared[wi];
-            break;
-          case ShareClass::kCohort:
-            ++width_cohort[wi];
-            break;
-          case ShareClass::kSolo:
-            ++width_fallback[wi];
-            break;
-          case ShareClass::kLeader:
-            break;
+      outs[j] = evaluate_candidate(cs.ctx[j], cand, &es, bound, rec.get(), delta);
+      if (rec != nullptr && rec->valid) {
+        const std::lock_guard<std::mutex> lock(dp->mutex);
+        dp->refs[slot] = std::move(rec);
+      }
+      if (delta != nullptr) {
+        es.delta.ref = nullptr;  // `ref` dies with this width slot
+        if (delta->pnorm_matched) {
+          obs::Registry& shard = delta_metrics[wi].local();
+          shard.add("delta_candidates", 1);
+          shard.add("delta_flows_reused", delta->flows_reused);
+          shard.add("delta_flows_certified", delta->flows_certified);
+          shard.add("delta_flows_rerouted", delta->flows_rerouted);
+          shard.add("delta_cert_rejects", delta->cert_rejects);
+          shard.add("delta_members_skipped", delta->member_skipped ? 1 : 0);
         }
       }
-    }
-    if (base_options.prune) {
-      for (std::size_t j = 0; j < outs.size(); ++j) {
-        const CandidateOutcome& o = outs[j];
-        if (o.status == EvalStatus::kRouted && o.deadlock_free) {
-          bounds[wc.width_indices[j]].publish(o.point.metrics.noc_dynamic_w,
-                                              o.point.metrics.avg_latency_cycles);
-        }
+      const CandidateOutcome& o = outs[j];
+      if (base_options.prune && o.status == EvalStatus::kRouted &&
+          o.deadlock_free) {
+        bounds[wi].publish(o.point.metrics.noc_dynamic_w,
+                           o.point.metrics.avg_latency_cycles);
       }
     }
+    es.router.geometry_token = 0;
     {
       // Streaming merge: deposit this candidate's per-width batch, drain
       // every candidate whose predecessors are all merged (see
@@ -484,13 +379,12 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       // the cursor, in strict enumeration order, so results are
       // bit-identical to the end-of-sweep merge). The buffered-outcome
       // accounting is sweep-global across classes.
-      ClassMergeState& ms = *merge_states[unit.class_id];
       const int batch = static_cast<int>(outs.size());
-      ms.queue.deposit(
+      cs.queue.deposit(
           unit.cand_id, std::move(outs),
-          [&ms](std::vector<CandidateOutcome>&& ready_outs) {
+          [&cs](std::vector<CandidateOutcome>&& ready_outs) {
             for (std::size_t j = 0; j < ready_outs.size(); ++j) {
-              ms.mergers[j].add(std::move(ready_outs[j]));
+              cs.mergers[j].add(std::move(ready_outs[j]));
             }
           },
           [&, batch](int delta) {
@@ -504,58 +398,46 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     }
     if (on_progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
-      for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
+      for (const std::size_t wi : wc.width_indices) {
         ++progress_done;
-        on_progress({progress_done, progress_total,
-                     widths[wc.width_indices[j]]});
+        on_progress({progress_done, progress_total, widths[wi]});
       }
     }
   });
 
   // Finish the per-width merges (Pareto fronts) and stamp the stats.
-  for (std::size_t c = 0; c < classes.size(); ++c) {
-    for (OutcomeMerger& merger : merge_states[c]->mergers) merger.finish();
+  for (const std::unique_ptr<ClassState>& cs : class_states) {
+    for (OutcomeMerger& merger : cs->mergers) merger.finish();
   }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    if (!entries[i].feasible) continue;
-    SynthesisStats& st = entries[i].result.stats;
-    st.elapsed_seconds = elapsed;
-    st.width_shared = width_shared[i].load();
-    st.width_certified = width_certified[i].load();
-    st.width_cohort = width_cohort[i].load();
-    st.width_fallback = width_fallback[i].load();
-    st.delta_candidates = delta_cands_w[i].load();
-    st.delta_flows_reused = delta_reused_w[i].load();
-    st.delta_flows_certified = delta_certified_w[i].load();
-    st.delta_flows_rerouted = delta_rerouted_w[i].load();
-    st.delta_cert_rejects = delta_rejects_w[i].load();
-    st.delta_members_skipped = delta_skipped_w[i].load();
-    st.peak_buffered_outcomes = peak_buffered.load();
-  }
-
   if (stats != nullptr) {
-    const obs::Registry merged = metrics.merged();
     stats->width_classes = static_cast<int>(classes.size());
-    stats->shared_evals = static_cast<int>(merged.value("shared_evals"));
-    stats->fallback_evals = static_cast<int>(merged.value("fallback_evals"));
-    stats->certified_evals = static_cast<int>(merged.value("certified_evals"));
-    stats->certificate_accepts =
-        static_cast<int>(merged.value("certificate_accepts"));
-    stats->cohort_evals = static_cast<int>(merged.value("cohort_evals"));
-    stats->cohort_groups = static_cast<int>(merged.value("cohort_groups"));
     stats->partition_cache_hits =
         class_slots_total - static_cast<int>(partition_cache.size());
     stats->peak_buffered_outcomes = peak_buffered.load();
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-      stats->delta_candidates += delta_cands_w[i].load();
-      stats->delta_flows_reused += delta_reused_w[i].load();
-      stats->delta_flows_certified += delta_certified_w[i].load();
-      stats->delta_flows_rerouted += delta_rerouted_w[i].load();
-      stats->delta_cert_rejects += delta_rejects_w[i].load();
-      stats->delta_members_skipped += delta_skipped_w[i].load();
+  }
+  for (std::size_t i = 0; i < widths.size(); ++i) {
+    if (!entries[i].feasible) continue;
+    SynthesisStats& st = entries[i].result.stats;
+    const obs::Registry merged = delta_metrics[i].merged();
+    st.elapsed_seconds = elapsed;
+    st.delta_candidates = static_cast<int>(merged.value("delta_candidates"));
+    st.delta_flows_reused = merged.value("delta_flows_reused");
+    st.delta_flows_certified = merged.value("delta_flows_certified");
+    st.delta_flows_rerouted = merged.value("delta_flows_rerouted");
+    st.delta_cert_rejects = static_cast<int>(merged.value("delta_cert_rejects"));
+    st.delta_members_skipped =
+        static_cast<int>(merged.value("delta_members_skipped"));
+    st.peak_buffered_outcomes = peak_buffered.load();
+    if (stats != nullptr) {
+      stats->delta_candidates += st.delta_candidates;
+      stats->delta_flows_reused += st.delta_flows_reused;
+      stats->delta_flows_certified += st.delta_flows_certified;
+      stats->delta_flows_rerouted += st.delta_flows_rerouted;
+      stats->delta_cert_rejects += st.delta_cert_rejects;
+      stats->delta_members_skipped += st.delta_members_skipped;
     }
   }
   return entries;
@@ -601,12 +483,7 @@ WidthSweepResult explore_link_widths(const soc::SocSpec& spec,
 obs::Registry WidthSetStats::to_registry() const {
   obs::Registry reg;
   reg.add("width_classes", width_classes);
-  reg.add("shared_evals", shared_evals);
-  reg.add("certified_evals", certified_evals);
-  reg.add("certificate_accepts", certificate_accepts);
-  reg.add("cohort_evals", cohort_evals);
-  reg.add("cohort_groups", cohort_groups);
-  reg.add("fallback_evals", fallback_evals);
+  reg.add("partition_cache_hits", partition_cache_hits);
   reg.record_max("peak_buffered_outcomes", peak_buffered_outcomes);
   reg.add("delta_candidates", delta_candidates);
   reg.add("delta_flows_reused", delta_flows_reused);
@@ -614,7 +491,6 @@ obs::Registry WidthSetStats::to_registry() const {
   reg.add("delta_flows_rerouted", delta_flows_rerouted);
   reg.add("delta_cert_rejects", delta_cert_rejects);
   reg.add("delta_members_skipped", delta_members_skipped);
-  reg.set_gauge("shared_rate", shared_rate());
   reg.set_gauge("delta_reuse_rate", delta_reuse_rate());
   return reg;
 }

@@ -18,7 +18,7 @@ BisectionResult optimal_bisection(const graph::Digraph& g, std::size_t min_side,
   Model m;
   std::vector<int> x(n);
   for (std::size_t i = 0; i < n; ++i) {
-    x[i] = m.add_var(0.0, "x" + std::to_string(i));
+    x[i] = m.add_var(0.0, std::string("x") + std::to_string(i));
   }
   // Break symmetry: node 0 on side 0.
   m.add_linear({x[0]}, {1.0}, Sense::kEqual, 0.0, "sym");
@@ -27,7 +27,7 @@ BisectionResult optimal_bisection(const graph::Digraph& g, std::size_t min_side,
   y.reserve(u.edge_count());
   for (std::size_t e = 0; e < u.edge_count(); ++e) {
     const auto& edge = u.edge(static_cast<graph::EdgeId>(e));
-    const int ye = m.add_var(edge.weight, "y" + std::to_string(e));
+    const int ye = m.add_var(edge.weight, std::string("y") + std::to_string(e));
     y.push_back(ye);
     const int xu = x[static_cast<std::size_t>(edge.src)];
     const int xv = x[static_cast<std::size_t>(edge.dst)];
@@ -87,8 +87,8 @@ LinkChoiceResult optimal_link_choice(const LinkChoiceProblem& prob,
     std::vector<int> route_vars;
 
     auto add_route = [&](const std::vector<std::size_t>& link_set) {
-      const int rv = m.add_var(0.0, "r" + std::to_string(f) + "_" +
-                                        std::to_string(route_vars.size()));
+      const int rv = m.add_var(0.0, std::string("r") + std::to_string(f) +
+                                        "_" + std::to_string(route_vars.size()));
       route_vars.push_back(rv);
       for (const std::size_t l : link_set) {
         // rv <= open_l

@@ -341,8 +341,8 @@ TEST(BenchGate, ObservabilityFieldClassification) {
   EXPECT_TRUE(observability_field("runtime_scaling_t2.hardware_concurrency"));
   // Rates are gate-able even though they end in "_s".
   EXPECT_FALSE(observability_field("eval_hotpath.candidates_per_s"));
-  EXPECT_FALSE(observability_field("width_sweep.speedup_shared"));
-  EXPECT_FALSE(observability_field("width_sweep.certified_share_rate"));
+  EXPECT_FALSE(observability_field("width_sweep.speedup_structure"));
+  EXPECT_FALSE(observability_field("width_sweep.partition_cache_hits"));
 }
 
 TEST(BenchGate, LoadBaselineParsesAnnotations) {

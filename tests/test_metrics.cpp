@@ -27,7 +27,7 @@ struct TinyFixture {
     spec.islands = {{"vi0", 1.0, false}, {"vi1", 1.0, true}};
     for (int i = 0; i < 2; ++i) {
       soc::CoreSpec c;
-      c.name = "c" + std::to_string(i);
+      c.name = std::string("c") + std::to_string(i);
       c.island = i;
       spec.cores.push_back(c);
       SwitchInst sw;

@@ -266,7 +266,7 @@ TEST(Router, MultiHopWithinIslandWhenDirectPortsRunOut) {
   Fixture fx(1, 0, 3);
   for (int i = 1; i < 3; ++i) {
     soc::CoreSpec c;
-    c.name = "c" + std::to_string(i);
+    c.name = std::string("c") + std::to_string(i);
     c.island = 0;
     fx.spec.cores.push_back(c);
     SwitchInst sw;

@@ -22,7 +22,7 @@ soc::SocSpec uniform_clock_spec(int islands) {
   }
   for (int i = 0; i < islands * 2; ++i) {
     soc::CoreSpec c;
-    c.name = "c" + std::to_string(i);
+    c.name = std::string("c") + std::to_string(i);
     c.island = i % islands;
     c.width_mm = 1.0;
     c.height_mm = 1.0;
@@ -35,7 +35,7 @@ soc::SocSpec uniform_clock_spec(int islands) {
     // 3.2e9 bits/s = 100 MHz at 32 bit for every island's hungriest NI.
     f.bandwidth_bits_per_s = 3.2e9;
     f.max_latency_cycles = 40;
-    f.label = "f" + std::to_string(s.flows.size());
+    f.label = std::string("f") + std::to_string(s.flows.size());
     s.flows.push_back(f);
   };
   for (int i = 0; i < islands * 2; ++i) {

@@ -144,7 +144,7 @@ TEST(Frequency, MinSwitchesCoversCores) {
   s.islands = {{"vi0", 1.0, false}};
   for (int i = 0; i < 9; ++i) {
     soc::CoreSpec c;
-    c.name = "c" + std::to_string(i);
+    c.name = std::string("c") + std::to_string(i);
     c.island = 0;
     s.cores.push_back(c);
   }
