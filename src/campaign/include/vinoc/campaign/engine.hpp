@@ -3,16 +3,17 @@
 //
 // Scheduling: jobs are grouped by their WIDTH-EXCLUDED content hash
 // (spec_hash.hpp structure_key) — jobs that differ only in link_width_bits
-// share every width-invariant input, so each group is synthesized together
-// through core::synthesize_width_set (partitions, floorplan and candidate
-// structures computed once per group, not once per width). Groups fan out
+// share every width-invariant input. Every group, a job alone in its group
+// included, is synthesized by ONE core::synthesize_width_set call over the
+// group's widths (partitions, floorplan and candidate structures computed
+// once per group, not once per width). Groups fan out
 // with exec::parallel_for_each (the caller participates as a strand) and
 // every group's candidate sweep fans out over the SAME pool — nested
 // parallelism. The nested fan-outs queue at the front (exec's fairness
 // hint), so in-flight groups finish before queued ones start and the
 // job-ordered stream keeps flowing.
 //
-// Determinism: jobs are independent and synthesize() is bit-identical for
+// Determinism: jobs are independent and synthesis is bit-identical for
 // every thread count, records are merged/streamed in job order, and the
 // cache is consulted per job by content key — so a campaign's record stream
 // is byte-identical for any `threads` given the same starting cache state
@@ -232,7 +233,7 @@ struct CampaignResult {
   [[nodiscard]] std::string to_jsonl(bool include_timing = true) const;
 };
 
-/// Runs the campaign. Per-job InfeasibleWidthError is recorded (feasible =
+/// Runs the campaign. An infeasible (job, width) is recorded (feasible =
 /// false), not fatal. Spec/option errors (std::invalid_argument) propagate,
 /// as do expand_jobs() errors. Every OTHER per-job exception is treated as
 /// transient: retried per CampaignOptions and, if it keeps failing,

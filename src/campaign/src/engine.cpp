@@ -173,8 +173,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   // the width-excluded content hash and synthesized TOGETHER through
   // core::synthesize_width_set — one structure pass per group instead of
   // one per width. Grouping never changes results (each width's result is
-  // bit-identical to a solo synthesize()) nor the record stream (records
-  // are emitted in job order either way).
+  // bit-identical to synthesize() at that width) nor the record stream
+  // (records are emitted in job order either way).
   std::vector<std::vector<std::size_t>> groups;
   {
     std::map<std::uint64_t, std::size_t> group_of;
@@ -267,9 +267,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   /// Supervision policy around one synthesis call: per-attempt child token
   /// (job timeout on top of deadline/interrupt), retry with exponential
   /// backoff + deterministic jitter for transient failures, quarantine when
-  /// retries are exhausted. `fn` must handle InfeasibleWidthError itself —
-  /// an infeasible width is a RESULT, not a failure. Returns nullopt on
-  /// success.
+  /// retries are exhausted. An infeasible width is a RESULT, not a failure:
+  /// synthesize_width_set reports it as an entry, never throws it. Returns
+  /// nullopt on success.
   auto supervised = [&](std::uint64_t job_key,
                         const std::function<void(const exec::CancelToken&)>& fn)
       -> std::optional<JobFailure> {
@@ -326,39 +326,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       if (!serve_from_cache(i)) compute.push_back(i);
     }
     if (compute.empty()) return;
-    if (compute.size() == 1) {
-      const std::size_t i = compute.front();
-      const CampaignJob& job = jobs[i];
-      if (options.on_job_start) options.on_job_start(job);
-      const auto t0 = std::chrono::steady_clock::now();
-      std::shared_ptr<const core::SynthesisResult> result;
-      const std::optional<JobFailure> failure =
-          supervised(job.key, [&](const exec::CancelToken& token) {
-            core::SynthesisOptions jopt = job.options;
-            jopt.cancel = &token;  // excluded from job keys (spec_hash)
-            try {
-              result = std::make_shared<core::SynthesisResult>(
-                  core::synthesize(job.spec, jopt, pool, scratch));
-            } catch (const core::InfeasibleWidthError&) {
-              // Recorded, not fatal: an infeasible (scenario, width) pair is
-              // a normal matrix outcome.
-              result = nullptr;
-            }
-          });
-      if (failure.has_value()) {
-        emit_failed(i, *failure);
-        return;
-      }
-      emit_computed(i, std::move(result),
-                    std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-      return;
-    }
-    // Two or more widths over identical structure inputs: one shared
-    // width-set synthesis. Infeasible widths come back as infeasible
-    // entries (the solo path's InfeasibleWidthError); the group's wall
-    // time is amortised uniformly over its jobs, and the supervision
+    // One width-set synthesis per group (a singleton is the one-width
+    // case). Infeasible widths come back as infeasible entries; the group's
+    // wall time is amortised uniformly over its jobs, and the supervision
     // policy treats the whole group as one job (one timeout budget, one
     // retry counter; a group failure fails all its members).
     const CampaignJob& first = jobs[compute.front()];
@@ -385,11 +355,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     {
       obs::Registry& shard = metrics.local();
-      shard.add("structure_groups", 1);
-      shard.add("structure_shared_jobs", static_cast<int>(compute.size()));
-    }
-    {
-      obs::Registry& shard = metrics.local();
+      if (compute.size() > 1) {
+        shard.add("structure_groups", 1);
+        shard.add("structure_shared_jobs", static_cast<int>(compute.size()));
+      }
       // A memory bound, not a throughput counter: max-merged across shards.
       shard.record_max("peak_buffered_outcomes",
                        set_stats.peak_buffered_outcomes);

@@ -14,14 +14,16 @@
 //      reads only const shared state (EvalContext) and touches no globals,
 //      so any number of candidates can be evaluated concurrently.
 //
-// Between the stages sits compute_partitions(): the per-(island, k) min-cut
-// partitions every candidate needs, memoized so partitioning runs once per
-// island/switch-count pair instead of once per inner-loop iteration.
+// Between the stages sit the per-(island, k) min-cut partitions every
+// candidate needs, memoized so partitioning runs once per island/switch-count
+// pair instead of once per inner-loop iteration (compute_partitions() for
+// one width's candidate list; the engine keeps one such cache across all the
+// widths of a set).
 //
-// synthesize() then merges outcomes back IN ENUMERATION ORDER — duplicate
-// suppression, stats counters and the saved-point list all follow candidate
-// index — which is what makes the parallel run bit-identical to the
-// sequential one.
+// The engine (synthesize_width_set, explore.cpp) then merges outcomes back
+// IN ENUMERATION ORDER — duplicate suppression, stats counters and the
+// saved-point list all follow candidate index — which is what makes the
+// parallel run bit-identical to the sequential one.
 //
 // Hot path: evaluation takes an optional per-worker EvalScratch (buffers
 // reset, not reallocated, between candidates; see exec::WorkerLocal) and an
@@ -144,7 +146,7 @@ enum class EvalStatus {
 /// kPruned (values at the abort checkpoint) and kRouted (values at the
 /// last checkpoint of the evaluation) — the merge stage re-checks them
 /// against the enumeration-ordered front to keep pruned runs bit-identical
-/// to sequential ones for any thread count (see synthesis.cpp).
+/// to sequential ones for any thread count (see OutcomeMerger).
 struct CandidateOutcome {
   EvalStatus status = EvalStatus::kRejectedUnroutable;
   DesignPoint point;
@@ -221,8 +223,8 @@ class EvalScratchPool {
 
 /// Incremental, enumeration-ordered merge of candidate outcomes into a
 /// SynthesisResult — the single definition of Algorithm 1's dedup / stats /
-/// Pareto-front / deterministic-pruning semantics, shared by synthesize()
-/// and the width sweep (explore.cpp). Outcomes are fed ONE AT A TIME in
+/// Pareto-front / deterministic-pruning semantics, used once per width by
+/// the synthesis engine (explore.cpp). Outcomes are fed ONE AT A TIME in
 /// enumeration order (the i-th add() merges candidate i), so streaming
 /// callers merge each candidate as soon as its predecessors have merged and
 /// release it, instead of holding every outcome until the sweep ends —

@@ -3,10 +3,11 @@
 // Section 4: "without loss of generality, we fix the data width of the NoC
 // links to a user-defined value. Please note that it could be varied in a
 // range and more design points could be explored, which does not affect the
-// algorithm steps." This module does exactly that: run the synthesis once
-// per candidate width and merge all saved design points into one global
-// power/latency Pareto front, so the designer sees width as just another
-// trade-off axis.
+// algorithm steps." This module does exactly that: it holds the synthesis
+// engine, synthesize_width_set(), which runs Algorithm 1 once per width of a
+// set (synthesize() is its one-width case), and explore_link_widths(), which
+// merges all saved design points into one global power/latency Pareto
+// front, so the designer sees width as just another trade-off axis.
 #pragma once
 
 #include <cstddef>
@@ -96,23 +97,27 @@ struct WidthSetStats {
   [[nodiscard]] obs::Registry to_registry() const;
 };
 
-/// Core engine of the width sweep: synthesizes `spec` at every width of
-/// `widths` (entries parallel to it) with width-invariant work shared —
-/// ONE floorplan, flow order and traffic profile for the whole set; ONE
-/// candidate enumeration per structural class (widths whose derived island
-/// parameters share max switch size and minimum switch count per island);
-/// ONE min-cut partition per distinct (island, switch count, max block
-/// size) across all widths; and ONE routing geometry per candidate across
-/// the widths of its class. Each (candidate, width) is then evaluated by
-/// evaluate_candidate() exactly as synthesize() would, with delta replay
-/// per (class, width).
+/// The synthesis engine: runs Algorithm 1 on `spec` at every width of
+/// `widths` (entries parallel to it). synthesize() is its one-width case,
+/// explore_link_widths() and the campaign engine call it directly. Work
+/// that does not depend on the width is shared across the set — ONE
+/// floorplan, flow order and traffic profile; ONE candidate enumeration per
+/// structural class (widths whose derived island parameters share max
+/// switch size and minimum switch count per island); ONE min-cut partition
+/// per distinct (island, switch count, max block size) across all widths;
+/// and ONE routing geometry per candidate across the widths of its class.
+/// Every (class, candidate) unit fans out over `pool`; each of its widths
+/// is evaluated by evaluate_candidate() with delta replay per (class,
+/// width), and outcomes stream into per-width merges in enumeration order.
 ///
-/// Every entry's SynthesisResult is bit-identical to
-/// synthesize(spec, base_options with that width) — same points, stats,
-/// Pareto front — for every thread count and both prune settings
-/// (elapsed_seconds, which is measured, reports the whole set's wall time).
-/// Infeasible widths yield feasible == false with a default result, exactly
-/// like the InfeasibleWidthError path of synthesize().
+/// Each entry's SynthesisResult therefore equals what the set would give
+/// for that width alone — same points, stats, Pareto front — for every
+/// thread count and both prune settings (elapsed_seconds, which is
+/// measured, reports the whole set's wall time). Throws
+/// std::invalid_argument for an invalid spec or alpha weights outside
+/// [0,1]. Infeasible widths (an NI link exceeds attainable bandwidth) yield
+/// feasible == false with a default result; synthesize() turns that into
+/// InfeasibleWidthError.
 ///
 /// Progress: base_options.on_progress receives SWEEP-GLOBAL totals —
 /// `completed` increases monotonically 1..total over all (candidate, width)
@@ -131,9 +136,9 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 /// spec, bad alpha weights — propagates to the caller.
 ///
 /// The sweep runs on one pool of base_options.threads strands shared by
-/// every internal fan-out, evaluates all widths through
-/// synthesize_width_set() (width-invariant work shared, results
-/// bit-identical to per-width synthesize() calls for every thread count),
+/// every internal fan-out, evaluates all widths through one
+/// synthesize_width_set() call (results bit-identical to per-width
+/// synthesize() calls for every thread count),
 /// and reports sweep-global progress (see synthesize_width_set). `stats`
 /// (optional) receives the sharing telemetry of the underlying width-set
 /// synthesis.

@@ -21,10 +21,11 @@
 // points into. Workers take an immutable snapshot per candidate (one lock),
 // so mid-routing checks are lock-free. Because a snapshot may contain points
 // from candidates that enumerate LATER, a worker's prune decision can differ
-// from the sequential run's; synthesize() restores bit-identical output in
-// deterministic mode by replaying any pruned candidate whose recorded bound
-// is NOT dominated under the enumeration-ordered merge front (monotonicity
-// of the bounds makes that check sufficient — see synthesis.cpp).
+// from the sequential run's; the engine's merge restores bit-identical
+// output in deterministic mode by replaying any pruned candidate whose
+// recorded bound is NOT dominated under the enumeration-ordered merge front
+// (monotonicity of the bounds makes that check sufficient — see
+// OutcomeMerger in candidates.hpp).
 #pragma once
 
 #include <algorithm>

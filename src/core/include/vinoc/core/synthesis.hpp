@@ -40,19 +40,20 @@ namespace vinoc::core {
 
 /// Thrown by synthesize() when the requested link width is infeasible for
 /// the spec: some NI link's bandwidth exceeds what any switch frequency can
-/// sustain at that width. Distinct from plain std::invalid_argument so width
-/// sweeps (explore_link_widths) can record the feasibility boundary while
-/// still propagating genuine spec/option errors.
+/// sustain at that width. Distinct from plain std::invalid_argument so
+/// callers can report the feasibility boundary while still propagating
+/// genuine spec/option errors (width sweeps record it as an infeasible
+/// entry instead of throwing).
 struct InfeasibleWidthError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
-/// Progress of one synthesize() run, reported after each candidate finishes
-/// evaluation. `completed` counts evaluated candidates, `total` is the size
-/// of the enumerated candidate list (== stats.configs_explored at the end).
-/// `link_width_bits` identifies the run, so a renderer fed by a concurrent
-/// width sweep (explore_link_widths) can tell the interleaved per-width
-/// streams apart — `completed` is monotonic per width, not across widths.
+/// Progress of one synthesis run, reported after each candidate evaluation.
+/// For synthesize() `completed` counts evaluated candidates and `total` is
+/// the size of the enumerated candidate list (== stats.configs_explored at
+/// the end). A width sweep counts (candidate, width) evaluations over the
+/// whole sweep instead, and `link_width_bits` names the width whose
+/// evaluation completed (see synthesize_width_set).
 struct SynthesisProgress {
   std::size_t completed = 0;
   std::size_t total = 0;
@@ -210,31 +211,27 @@ struct SynthesisResult {
 /// spec.validate() reports problems, InfeasibleWidthError if an NI link
 /// cannot be sustained at options.link_width_bits).
 ///
-/// Staged engine: candidates are first ENUMERATED (pure, sequential — the
-/// (outer x inner) sweep of the paper, deduplicated on saturation), their
-/// per-(island, switch-count) min-cut partitions computed once each, then
-/// every candidate is EVALUATED independently (partition lookup -> switch
-/// placement -> routing -> metrics) across options.threads strands and
-/// merged back in enumeration order, so the result does not depend on the
-/// thread count. See vinoc/core/candidates.hpp for the stage boundary.
+/// This is the one-width case of synthesize_width_set()
+/// (vinoc/core/explore.hpp), the single synthesis engine: candidates are
+/// ENUMERATED (pure, sequential — the (outer x inner) sweep of the paper,
+/// deduplicated on saturation), their per-(island, switch-count) min-cut
+/// partitions computed once each, then every candidate is EVALUATED
+/// independently (partition lookup -> switch placement -> routing ->
+/// metrics) across options.threads strands and merged back in enumeration
+/// order, so the result does not depend on the thread count. See
+/// vinoc/core/candidates.hpp for the stage boundary.
 SynthesisResult synthesize(const soc::SocSpec& spec,
                            const SynthesisOptions& options = {});
 
-/// Same, but evaluates candidates on an existing pool instead of creating
-/// one from options.threads. Used by explore_link_widths() so the width
-/// sweep and every per-width candidate sweep share one set of workers;
-/// nested use is safe (see vinoc/exec/thread_pool.hpp).
-SynthesisResult synthesize(const soc::SocSpec& spec,
-                           const SynthesisOptions& options,
-                           exec::ThreadPool& pool);
-
 class EvalScratchPool;  // vinoc/core/candidates.hpp
 
-/// Same, additionally reusing the caller's per-worker scratch arenas
-/// (preallocated router/metrics/placement buffers). Batch drivers — the
-/// width sweep, the campaign engine — keep one EvalScratchPool alive across
-/// many synthesize() calls so buffers are allocated once per worker, not
-/// once per run. Results are identical with or without it.
+/// Same, but evaluates candidates on an existing pool (instead of creating
+/// one from options.threads) and reuses the caller's per-worker scratch
+/// arenas (preallocated router/metrics/placement buffers). Batch drivers
+/// keep one pool and one EvalScratchPool alive across many calls so
+/// workers and buffers are created once, not once per run. Results are
+/// identical either way; nested use of the pool is safe (see
+/// vinoc/exec/thread_pool.hpp).
 SynthesisResult synthesize(const soc::SocSpec& spec,
                            const SynthesisOptions& options,
                            exec::ThreadPool& pool, EvalScratchPool& scratch);

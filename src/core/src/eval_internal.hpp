@@ -1,6 +1,6 @@
 // Internal helper of the candidate-evaluation stage, shared by
-// synthesize()'s partition stage (candidates.cpp) and the width sweep's
-// cross-width partition cache (explore.cpp). NOT part of the public API —
+// compute_partitions() (candidates.cpp) and the engine's cross-width
+// partition cache (explore.cpp). NOT part of the public API —
 // intra-module include only.
 #pragma once
 

@@ -54,11 +54,17 @@ struct WidthClass {
   PartitionTable partitions;
 };
 
-/// Candidate-level delta evaluation of one class: the same group map as
-/// synthesize() — consecutive candidates sharing switches_per_island — with
-/// one reference slot per (width, group), since the recorded hop sequences
-/// are width-dependent (frequencies and capacities differ). Publication is
-/// opportunistic; members without a published reference evaluate solo.
+/// Candidate-level delta evaluation of one class. Consecutive candidates
+/// sharing switches_per_island form a GROUP (the inner k_int sweep); the
+/// group's first candidate (k_int == 0) is its reference. The reference
+/// evaluation records its routed hop sequences; once published, later group
+/// members replay the routes of flows the k_int diff cannot affect (see
+/// route_all_flows). There is one reference slot per (width, group), since
+/// the recorded hop sequences are width-dependent (frequencies and
+/// capacities differ). Publication is opportunistic — a member that runs
+/// before its reference finishes simply evaluates solo — so results stay
+/// bit-identical for every thread schedule, and threads == 1 always replays
+/// (the reference precedes its members in enumeration order).
 struct DeltaPlan {
   std::vector<int> group_of;    ///< per candidate of the class
   std::vector<char> leader;     ///< per candidate: first of its group
@@ -110,8 +116,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 
   // Per-width derived parameters; group the feasible widths into structural
   // classes (an empty class key marks an infeasible width — an NI link
-  // exceeds attainable bandwidth — recorded exactly like the
-  // InfeasibleWidthError path of synthesize()).
+  // exceeds attainable bandwidth — for which synthesize() throws
+  // InfeasibleWidthError).
   std::vector<WidthSlice> slices(widths.size());
   std::vector<WidthClass> classes;
   std::map<std::vector<int>, std::size_t> class_of_key;
@@ -286,7 +292,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   }
 
   // Per-width delta counters accumulate in per-worker obs registry shards
-  // and merge deterministically after the pool joins, as in synthesize().
+  // and merge deterministically (integer sums) after the pool joins.
   // The buffered-outcome high-water mark is a RUNNING global sum (no
   // per-shard decomposition exists), so it stays an atomic CAS-max.
   std::vector<obs::ShardedRegistry> delta_metrics(widths.size());
@@ -298,8 +304,9 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 
   exec::parallel_for_each(pool, units.size(), [&](std::size_t u) {
     OBS_SPAN("sweep_unit");
-    // Cancellation poll, once per (candidate, class) unit — the sweep's
-    // equivalent of synthesize()'s per-candidate poll.
+    // Cancellation poll, once per (class, candidate) unit: a cancelled run
+    // throws here on every remaining unit, so the fan-out drains fast and
+    // parallel_for_each rethrows the lowest-index CancelledError.
     if (base_options.cancel != nullptr) {
       base_options.cancel->check("synthesize_width_set");
     }
@@ -311,8 +318,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     DeltaPlan* dp = delta_plans[unit.class_id].get();
     const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
     std::vector<CandidateOutcome> outs(wc.width_indices.size());
-    // Each width evaluates exactly like the synthesize() worker body. One
-    // geometry token spans all widths of the candidate: switch positions
+    // One geometry token spans all widths of the candidate: switch positions
     // and admissibility are width-invariant, so the hop/leakage matrices
     // and class runs are built once.
     es.router.geometry_token = ++es.router.geometry_token_counter;
@@ -324,9 +330,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
         snap = bounds[wi].snapshot();
         bound = snap != nullptr ? snap.get() : &empty_bound;
       }
-      // Delta evaluation: per (class, width), the group reference's hop
-      // record replays for adjacent group members exactly as in
-      // synthesize().
+      // Delta evaluation: per (class, width), the group reference records
+      // and later group members replay (see DeltaPlan).
       std::shared_ptr<DeltaReference> rec;
       std::shared_ptr<const DeltaReference> ref;
       DeltaRouteState* delta = nullptr;

@@ -13,10 +13,11 @@
 //    atomic counter and exit as soon as the range is drained; the caller
 //    drains the same counter itself. Progress is therefore guaranteed even
 //    when every worker is busy with unrelated jobs, which makes NESTED
-//    fan-outs safe: explore_link_widths() fans widths out over the pool and
-//    each width's synthesize() fans its candidate sweep out over the same
-//    pool without risk of deadlock (the inner fan-out simply degrades to
-//    the calling strand when no worker is free).
+//    fan-outs safe: the campaign engine fans job groups out over the pool
+//    and each group's synthesize_width_set() fans its partition problems
+//    and (class, candidate) units out over the same pool without risk of
+//    deadlock (the inner fan-out simply degrades to the calling strand when
+//    no worker is free).
 //  * Jobs must not throw; parallel_for_each catches per-task exceptions
 //    itself and rethrows deterministically (lowest task index wins).
 #pragma once

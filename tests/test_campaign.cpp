@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "byte_mutations.hpp"
 #include "vinoc/campaign/campaign_spec.hpp"
 #include "vinoc/campaign/engine.hpp"
 #include "vinoc/campaign/report.hpp"
@@ -170,6 +171,23 @@ TEST(CampaignSpec, ParserReportsErrorsWithLineNumbers) {
   EXPECT_EQ(parsed.errors[1].line, 3);
   // A campaign without any scenario axis is rejected.
   EXPECT_FALSE(parse_campaign_spec_string("widths = 32\n").ok);
+}
+
+TEST(CampaignSpec, MutatedCampaignsParseOrReportErrors) {
+  // The shipped smoke campaign, mutated byte by byte from a fixed seed:
+  // every mutant must come back parsed or with errors listed.
+  std::ifstream in(VINOC_SOURCE_DIR "/examples/smoke.campaign");
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  ASSERT_TRUE(parse_campaign_spec_string(text).ok);
+  for (const test_support::Mutant& m :
+       test_support::byte_mutations(text, /*seed=*/0xCA4, /*count=*/400)) {
+    CampaignParseResult r;
+    EXPECT_NO_THROW(r = parse_campaign_spec_string(m.text)) << m.label;
+    EXPECT_EQ(r.ok, r.errors.empty()) << m.label;
+  }
 }
 
 TEST(CampaignReport, RecordRoundTripsThroughJsonl) {
@@ -381,6 +399,38 @@ TEST(CampaignEngine, InfeasibleWidthIsRecordedNotFatal) {
   EXPECT_EQ(result.records[0].points, 0);
   EXPECT_TRUE(result.records[1].feasible);
   EXPECT_EQ(result.infeasible(), 1);
+}
+
+TEST(CampaignEngine, SingletonJobsReportDeltaAndBufferCounters) {
+  // One width: every job is alone in its structure group. The campaign's
+  // delta counters must still sum every job's delta replay, and the
+  // buffered-outcome high-water mark must be recorded.
+  CampaignSpec spec = small_campaign();
+  spec.widths = {32};
+  CampaignOptions opt;
+  opt.threads = 1;
+  const CampaignResult result = run_campaign(spec, opt);
+  const std::vector<CampaignJob> jobs = expand_jobs(spec);
+  ASSERT_EQ(jobs.size(), 8u);
+  EXPECT_EQ(result.jobs_run(), 8);
+  EXPECT_EQ(result.structure_groups(), 0);
+  EXPECT_EQ(result.structure_shared_jobs(), 0);
+  long long candidates = 0;
+  long long reused = 0;
+  long long skipped = 0;
+  for (const CampaignJob& job : jobs) {
+    core::SynthesisOptions solo = job.options;
+    solo.threads = 1;
+    const core::SynthesisResult r = core::synthesize(job.spec, solo);
+    candidates += r.stats.delta_candidates;
+    reused += r.stats.delta_flows_reused;
+    skipped += r.stats.delta_members_skipped;
+  }
+  EXPECT_GT(candidates, 0);
+  EXPECT_EQ(result.delta_candidates(), candidates);
+  EXPECT_EQ(result.delta_flows_reused(), reused);
+  EXPECT_EQ(result.delta_members_skipped(), skipped);
+  EXPECT_GE(result.peak_buffered_outcomes(), 1);
 }
 
 TEST(JsonlWriter, EscapesAndParsesRoundTrip) {

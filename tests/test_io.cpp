@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "byte_mutations.hpp"
 #include "vinoc/core/synthesis.hpp"
 #include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
@@ -115,6 +116,21 @@ TEST(SpecFormat, ParsedSpecSynthesizes) {
   ASSERT_TRUE(r.ok);
   const core::SynthesisResult result = core::synthesize(r.spec);
   EXPECT_FALSE(result.points.empty());
+}
+
+TEST(SpecFormat, MutatedSpecsParseOrReportErrors) {
+  // A writer-produced spec of a named benchmark, mutated byte by byte from a
+  // fixed seed: every mutant must come back parsed or with errors listed.
+  const soc::Benchmark d26 = soc::make_d26_media_soc();
+  const std::string text =
+      write_soc_spec(soc::with_logical_islands(d26.soc, 4, d26.use_cases));
+  ASSERT_TRUE(parse_soc_spec_string(text).ok);
+  for (const test_support::Mutant& m :
+       test_support::byte_mutations(text, /*seed=*/0x50C, /*count=*/400)) {
+    ParseResult r;
+    EXPECT_NO_THROW(r = parse_soc_spec_string(m.text)) << m.label;
+    EXPECT_EQ(r.ok, r.errors.empty()) << m.label;
+  }
 }
 
 struct Synthesized {

@@ -1,9 +1,12 @@
-// The width sweep: bit-identity of explore_link_widths() /
-// synthesize_width_set() against per-width synthesize() for every thread
-// count and both prune settings, delta-evaluation tallies equal to the solo
-// runs', SIMD-vs-scalar relaxation-filter bit-identity, the streaming
-// per-width merge's buffer cap, the cross-width partition cache,
-// sweep-global progress reporting, and the flat PartitionTable container.
+// The width sweep. synthesize() is the one-width case of
+// synthesize_width_set(), so comparing a multi-width set against per-width
+// synthesize() checks that sharing work across widths (enumeration per
+// class, partition cache, geometry token, per-width merges) never changes
+// a result: bit-identity for every thread count and both prune settings,
+// delta-evaluation tallies equal to the one-width runs', SIMD-vs-scalar
+// relaxation-filter bit-identity, the streaming per-width merge's buffer
+// cap, the cross-width partition cache, sweep-global progress reporting,
+// and the flat PartitionTable container.
 #include <gtest/gtest.h>
 
 #include <mutex>
