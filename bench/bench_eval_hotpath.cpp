@@ -196,10 +196,9 @@ void print_table(bool quick) {
       if (fps != nullptr) {
         fps->push_back(campaign::result_fingerprint(res));
         if (delta_on) {
-          const long long reused =
-              res.stats.delta_flows_reused + res.stats.delta_flows_certified;
-          delta_served += reused;
-          delta_eligible += reused + res.stats.delta_flows_rerouted;
+          delta_served += res.stats.delta_flows_reused;
+          delta_eligible +=
+              res.stats.delta_flows_reused + res.stats.delta_flows_rerouted;
         }
       }
       benchmark::DoNotOptimize(res.points.size());

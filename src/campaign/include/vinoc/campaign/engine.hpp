@@ -171,14 +171,8 @@ struct CampaignResult {
   [[nodiscard]] long long delta_flows_reused() const {
     return metrics.value("delta_flows_reused");
   }
-  [[nodiscard]] long long delta_flows_certified() const {
-    return metrics.value("delta_flows_certified");
-  }
   [[nodiscard]] long long delta_flows_rerouted() const {
     return metrics.value("delta_flows_rerouted");
-  }
-  [[nodiscard]] int delta_cert_rejects() const {
-    return static_cast<int>(metrics.value("delta_cert_rejects"));
   }
   /// Transient-failure retry attempts across all jobs.
   [[nodiscard]] int retries() const {
@@ -223,9 +217,9 @@ struct CampaignResult {
   /// Fraction of delta-eligible flows served without a live Dijkstra
   /// (also stored as the registry gauge "delta_reuse_rate").
   [[nodiscard]] double delta_reuse_rate() const {
-    const long long reused = delta_flows_reused() + delta_flows_certified();
-    const long long total = reused + delta_flows_rerouted();
-    return total > 0 ? static_cast<double>(reused) / static_cast<double>(total)
+    const long long total = delta_flows_reused() + delta_flows_rerouted();
+    return total > 0 ? static_cast<double>(delta_flows_reused()) /
+                           static_cast<double>(total)
                      : 0.0;
   }
 

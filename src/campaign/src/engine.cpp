@@ -364,9 +364,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                        set_stats.peak_buffered_outcomes);
       shard.add("delta_candidates", set_stats.delta_candidates);
       shard.add("delta_flows_reused", set_stats.delta_flows_reused);
-      shard.add("delta_flows_certified", set_stats.delta_flows_certified);
       shard.add("delta_flows_rerouted", set_stats.delta_flows_rerouted);
-      shard.add("delta_cert_rejects", set_stats.delta_cert_rejects);
       shard.add("delta_members_skipped", set_stats.delta_members_skipped);
     }
     const double wall_ms = std::chrono::duration<double, std::milli>(
@@ -399,9 +397,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
                          acc.value("peak_buffered_outcomes"));
   out.metrics.add("delta_candidates", acc.value("delta_candidates"));
   out.metrics.add("delta_flows_reused", acc.value("delta_flows_reused"));
-  out.metrics.add("delta_flows_certified", acc.value("delta_flows_certified"));
   out.metrics.add("delta_flows_rerouted", acc.value("delta_flows_rerouted"));
-  out.metrics.add("delta_cert_rejects", acc.value("delta_cert_rejects"));
   // Robustness counters (PR 9) — appended AFTER every pre-existing counter
   // so the CI's resume_summary prefix greps keep matching.
   out.metrics.add("retries", acc.value("retries"));

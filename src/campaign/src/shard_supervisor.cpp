@@ -98,12 +98,11 @@ class OrderedStream {
 /// re-derived from the delivered records instead — records survive worker
 /// crashes, summaries do not).
 constexpr const char* kSummedCounters[] = {
-    "structure_groups",      "structure_shared_jobs",
-    "delta_candidates",      "delta_flows_reused",
-    "delta_flows_certified", "delta_flows_rerouted",
-    "delta_cert_rejects",    "retries",
-    "recovered_records",     "evicted_records",
-    "store_write_errors",    "delta_members_skipped",
+    "structure_groups",     "structure_shared_jobs",
+    "delta_candidates",     "delta_flows_reused",
+    "delta_flows_rerouted", "retries",
+    "recovered_records",    "evicted_records",
+    "store_write_errors",   "delta_members_skipped",
 };
 
 }  // namespace
@@ -515,9 +514,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
                summed.value("peak_buffered_outcomes"));
   m.add("delta_candidates", summed.value("delta_candidates"));
   m.add("delta_flows_reused", summed.value("delta_flows_reused"));
-  m.add("delta_flows_certified", summed.value("delta_flows_certified"));
   m.add("delta_flows_rerouted", summed.value("delta_flows_rerouted"));
-  m.add("delta_cert_rejects", summed.value("delta_cert_rejects"));
   m.add("retries", summed.value("retries"));
   m.add("job_timeouts", timeouts);
   m.add("quarantined_jobs", quarantined);

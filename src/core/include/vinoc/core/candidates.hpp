@@ -211,9 +211,8 @@ class EvalScratchPool {
 /// evaluation replays the records via `delta`, re-routing only the flows
 /// the config diff can affect; a member that certify_delta_member() proves
 /// identical before routing returns a copy of the published outcome with
-/// its own pre-routing bound checkpoint (set_delta_cert_forced re-derives
-/// it by full evaluation instead). Either way the outcome is bit-identical
-/// to a plain evaluation of the same candidate.
+/// its own pre-routing bound checkpoint. Either way the outcome is
+/// bit-identical to a plain evaluation of the same candidate.
 [[nodiscard]] CandidateOutcome evaluate_candidate(const EvalContext& ctx,
                                                   const CandidateConfig& cand,
                                                   EvalScratch* scratch = nullptr,
@@ -252,13 +251,6 @@ class OutcomeMerger {
   std::set<std::vector<int>> seen_designs_;
   std::size_t index_ = 0;
 };
-
-/// One-shot wrapper over OutcomeMerger for callers that already hold every
-/// outcome: merges `outcomes` (enumeration order) and finishes.
-void merge_candidate_outcomes(
-    std::vector<CandidateOutcome>&& outcomes, const SynthesisOptions& options,
-    const std::function<CandidateOutcome(std::size_t, const ParetoBound&)>& replay,
-    SynthesisResult& result);
 
 /// Per-core total traffic (sum of inbound + outbound flow bandwidth), used
 /// to weight switch placement.

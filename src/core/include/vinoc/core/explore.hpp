@@ -74,17 +74,15 @@ struct WidthSetStats {
   /// width) of the set.
   int delta_candidates = 0;
   long long delta_flows_reused = 0;
-  long long delta_flows_certified = 0;
   long long delta_flows_rerouted = 0;
-  int delta_cert_rejects = 0;
   int delta_members_skipped = 0;
 
   /// Fraction of delta-eligible flows served without a live Dijkstra
   /// (see SynthesisStats::delta_reuse_rate).
   [[nodiscard]] double delta_reuse_rate() const {
-    const long long reused = delta_flows_reused + delta_flows_certified;
-    const long long total = reused + delta_flows_rerouted;
-    return total > 0 ? static_cast<double>(reused) / static_cast<double>(total)
+    const long long total = delta_flows_reused + delta_flows_rerouted;
+    return total > 0 ? static_cast<double>(delta_flows_reused) /
+                           static_cast<double>(total)
                      : 0.0;
   }
 

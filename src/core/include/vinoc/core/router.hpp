@@ -21,6 +21,10 @@
 // reset, not reallocated, between candidates) and an optional RouteBound
 // (monotone lower bounds on the final metrics checked against the current
 // Pareto front after every routed flow; see vinoc/core/prune.hpp).
+//
+// None of this machinery (scratch, geometry, SIMD filter, delta replay)
+// may change a result: tests/test_reference.cpp diffs the engine against
+// a plain dense-Dijkstra Algorithm 1 kept outside it (tests/reference/).
 #pragma once
 
 #include <cstddef>
@@ -189,12 +193,10 @@ struct DeltaReference {
 /// whose islands are still IN SYNC with the reference's — intra-island
 /// flows, and in pass 1 cross-island flows whose recorded distance the
 /// cross-island certificate proves unbeaten by any path through the
-/// intermediate VI — are replayed from the record (flows_reused; or, under
-/// set_delta_cert_forced, re-derived by their own solo Dijkstra and
-/// verified against it — flows_certified); everything else routes live
-/// (flows_rerouted), and a live cross-island route whose hop sequence
-/// differs from the record's taints the islands it touches, ending reuse
-/// for them.
+/// intermediate VI — are replayed from the record (flows_reused);
+/// everything else routes live (flows_rerouted), and a live cross-island
+/// route whose hop sequence differs from the record's taints the islands
+/// it touches, ending reuse for them.
 struct DeltaRouteState {
   const DeltaReference* ref = nullptr;
   /// Output: the consumer's power normalizer was bit-equal to the
@@ -202,13 +204,10 @@ struct DeltaRouteState {
   /// counters as a reuse rate).
   bool pnorm_matched = false;
   /// Output: the whole member was proven identical to the reference before
-  /// routing (certify_delta_member) — counted under forced mode too, where
-  /// the skip is re-derived by a full evaluation instead of taken.
+  /// routing (certify_delta_member).
   bool member_skipped = false;
-  int flows_reused = 0;     ///< replayed from the record, no Dijkstra
-  int flows_certified = 0;  ///< forced-certificate mode: verified replays
-  int flows_rerouted = 0;   ///< routed live (affected or tainted)
-  int cert_rejects = 0;     ///< forced-certificate mismatches (expected 0)
+  int flows_reused = 0;    ///< replayed from the record, no Dijkstra
+  int flows_rerouted = 0;  ///< routed live (affected or tainted)
   /// Router-managed scratch (reset per pass, buffers reused).
   std::vector<char> island_tainted;
   std::vector<DeltaHop> actual_hops;
@@ -218,9 +217,7 @@ struct DeltaRouteState {
     pnorm_matched = false;
     member_skipped = false;
     flows_reused = 0;
-    flows_certified = 0;
     flows_rerouted = 0;
-    cert_rejects = 0;
   }
 };
 
@@ -318,26 +315,6 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                                         const soc::SocSpec& spec,
                                         const RouterOptions& options,
                                         DeltaRouteState& delta);
-
-/// Runtime toggle for the router's 4-wide relaxation filter (see
-/// vinoc/core/simd.hpp): results are bit-identical either way — the scalar
-/// path is the reference the tests compare against. Returns the previous
-/// value. No-op (always scalar) in builds without the vector path.
-bool set_router_simd_enabled(bool enabled);
-[[nodiscard]] bool router_simd_enabled();
-
-/// Runtime toggle forcing the delta evaluator to VERIFY every would-be
-/// replay with the flow's own full solo Dijkstra (the route-equivalence
-/// certificate) instead of trusting the in-sync proof or the cross-island
-/// bound: a reuse whose certified path differs from the record is rejected
-/// — the islands taint and the certified path is used, so results stay
-/// bit-identical either way. Every whole-member skip is likewise re-derived
-/// by a full evaluation (evaluate_candidate) and compared; a mismatch also
-/// counts as a reject and keeps the evaluated result. This trades away the
-/// entire delta speedup for a runtime check of the soundness argument;
-/// tests and the A/B harness flip it on. Returns the previous value.
-bool set_delta_cert_forced(bool enabled);
-[[nodiscard]] bool delta_cert_forced();
 
 /// True if a link from switch `a` to switch `b` is admissible for a flow
 /// going from island `src_isl` to island `dst_isl` under the shutdown-safety

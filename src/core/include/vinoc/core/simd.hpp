@@ -14,9 +14,14 @@
 // or aarch64; with AVX enabled the compiler fuses the pairs.
 //
 // Build knobs:
-//  * VINOC_SIMD_FORCE_SCALAR — compile the scalar fallback only (one CI
-//    sanitizer matrix entry builds with this to keep the fallback honest).
+//  * VINOC_SIMD_FORCE_SCALAR — compile the scalar fallback only. One CI
+//    sanitizer matrix entry builds with this, and its test_reference run
+//    checks the scalar filter against the independent Algorithm 1 oracle
+//    (tests/reference/), which has no filter at all.
 //  * Non-GNU-compatible compilers fall back to scalar automatically.
+//
+// There is no runtime switch: a build routes with exactly one of the two
+// paths.
 #pragma once
 
 #include <cstring>
@@ -29,16 +34,6 @@ namespace vinoc::core::simd {
 
 /// Number of elements one filter step covers.
 inline constexpr int kWidth = 4;
-
-/// True when the vector-extension path is compiled in (callers may still
-/// disable it at runtime; see router.hpp set_router_simd_enabled).
-[[nodiscard]] constexpr bool compiled_vector() {
-#if defined(VINOC_SIMD_VECTOR_EXT)
-  return true;
-#else
-  return false;
-#endif
-}
 
 #if defined(VINOC_SIMD_VECTOR_EXT)
 

@@ -159,27 +159,20 @@ struct SynthesisStats {
   /// Delta-evaluation telemetry (options.delta_eval): member candidates
   /// whose evaluation ran with replay armed (a published group reference
   /// with a bit-equal power normalizer), and their per-flow tallies —
-  /// routes replayed without a Dijkstra (`delta_flows_reused`), replays
-  /// verified by the forced route-equivalence certificate
-  /// (`delta_flows_certified`, only under set_delta_cert_forced), and
-  /// flows routed live because the config diff could affect them
-  /// (`delta_flows_rerouted`). `delta_cert_rejects` counts forced-
-  /// certificate mismatches (expected 0; a reject falls back to the
-  /// certified path, preserving bit-identity). `delta_members_skipped`
-  /// counts members proven identical to their reference before routing,
-  /// whose outcome is a copy of the reference's (their non-trivial flows
-  /// count as reused).
+  /// routes replayed without a Dijkstra (`delta_flows_reused`) and flows
+  /// routed live because the config diff could affect them
+  /// (`delta_flows_rerouted`). `delta_members_skipped` counts members
+  /// proven identical to their reference before routing, whose outcome is
+  /// a copy of the reference's (their non-trivial flows count as reused).
   int delta_candidates = 0;
   long long delta_flows_reused = 0;
-  long long delta_flows_certified = 0;
   long long delta_flows_rerouted = 0;
-  int delta_cert_rejects = 0;
   int delta_members_skipped = 0;
   /// Fraction of delta-eligible flows served without a live Dijkstra.
   [[nodiscard]] double delta_reuse_rate() const {
-    const long long reused = delta_flows_reused + delta_flows_certified;
-    const long long total = reused + delta_flows_rerouted;
-    return total > 0 ? static_cast<double>(reused) / static_cast<double>(total)
+    const long long total = delta_flows_reused + delta_flows_rerouted;
+    return total > 0 ? static_cast<double>(delta_flows_reused) /
+                           static_cast<double>(total)
                      : 0.0;
   }
   /// High-water mark of candidate outcomes buffered by the streaming merge

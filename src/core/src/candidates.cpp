@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "eval_internal.hpp"
 #include "vinoc/core/deadlock.hpp"
@@ -325,21 +324,6 @@ void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
                       scratch != nullptr ? &scratch->metrics : nullptr);
 }
 
-/// The forced-mode comparison of a whole-member skip against the full
-/// evaluation: status, design signature, deadlock verdict and metrics.
-bool same_routed_outcome(const CandidateOutcome& a, const CandidateOutcome& b) {
-  auto metrics = [](const Metrics& m) {
-    return std::tie(m.noc_dynamic_w, m.switch_dynamic_w, m.link_dynamic_w,
-                    m.ni_dynamic_w, m.fifo_dynamic_w, m.noc_leakage_w,
-                    m.noc_area_mm2, m.avg_latency_cycles, m.max_latency_cycles,
-                    m.total_wire_mm, m.switch_count, m.link_count, m.fifo_count,
-                    m.max_switch_ports);
-  };
-  return a.status == b.status && a.signature == b.signature &&
-         a.deadlock_free == b.deadlock_free &&
-         metrics(a.point.metrics) == metrics(b.point.metrics);
-}
-
 }  // namespace
 
 namespace detail {
@@ -568,27 +552,18 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
   // reference routes, compacts and measures exactly like it, so its outcome
   // IS the reference's, except for its own pre-routing bound checkpoint
   // (the only one of its pass 1, which is fallback-gated because the
-  // member has intermediate switches). Forced mode evaluates in full and
-  // compares instead.
-  std::shared_ptr<const CandidateOutcome> proven;
+  // member has intermediate switches).
   if (delta != nullptr && delta->ref != nullptr &&
       delta->ref->outcome != nullptr && cand.intermediate_switches > 0 &&
       certify_delta_member(out.point.topology, ctx.spec, ropts, *delta)) {
-    proven = delta->ref->outcome;
-    if (!delta_cert_forced()) {
-      CandidateOutcome skipped = *proven;
-      skipped.pruned_power_lb_w = bound != nullptr ? rbound.base_power_lb_w : 0.0;
-      skipped.pruned_latency_lb_cycles = bound != nullptr ? base_avg_lat : 0.0;
-      return skipped;
-    }
+    CandidateOutcome skipped = *delta->ref->outcome;
+    skipped.pruned_power_lb_w = bound != nullptr ? rbound.base_power_lb_w : 0.0;
+    skipped.pruned_latency_lb_cycles = bound != nullptr ? base_avg_lat : 0.0;
+    return skipped;
   }
 
   route_and_finish(ctx, out, ropts, scratch, bound != nullptr ? &rbound : nullptr,
                    base_avg_lat, delta_record, delta);
-  if (proven != nullptr) {
-    delta->member_skipped = true;
-    if (!same_routed_outcome(out, *proven)) ++delta->cert_rejects;
-  }
   if (delta_record != nullptr && cand.intermediate_switches == 0) {
     if (out.status == EvalStatus::kRouted) {
       delta_record->outcome = std::make_shared<const CandidateOutcome>(out);
@@ -688,15 +663,6 @@ void OutcomeMerger::finish() {
                                 [this](std::size_t idx) -> const Metrics& {
                                   return result_.points[idx].metrics;
                                 });
-}
-
-void merge_candidate_outcomes(
-    std::vector<CandidateOutcome>&& outcomes, const SynthesisOptions& options,
-    const std::function<CandidateOutcome(std::size_t, const ParetoBound&)>& replay,
-    SynthesisResult& result) {
-  OutcomeMerger merger(options, replay, result);
-  for (CandidateOutcome& out : outcomes) merger.add(std::move(out));
-  merger.finish();
 }
 
 }  // namespace vinoc::core

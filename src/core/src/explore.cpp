@@ -363,9 +363,7 @@ std::vector<WidthSweepEntry> synthesize_width_set(
           obs::Registry& shard = delta_metrics[wi].local();
           shard.add("delta_candidates", 1);
           shard.add("delta_flows_reused", delta->flows_reused);
-          shard.add("delta_flows_certified", delta->flows_certified);
           shard.add("delta_flows_rerouted", delta->flows_rerouted);
-          shard.add("delta_cert_rejects", delta->cert_rejects);
           shard.add("delta_members_skipped", delta->member_skipped ? 1 : 0);
         }
       }
@@ -430,18 +428,14 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     st.elapsed_seconds = elapsed;
     st.delta_candidates = static_cast<int>(merged.value("delta_candidates"));
     st.delta_flows_reused = merged.value("delta_flows_reused");
-    st.delta_flows_certified = merged.value("delta_flows_certified");
     st.delta_flows_rerouted = merged.value("delta_flows_rerouted");
-    st.delta_cert_rejects = static_cast<int>(merged.value("delta_cert_rejects"));
     st.delta_members_skipped =
         static_cast<int>(merged.value("delta_members_skipped"));
     st.peak_buffered_outcomes = peak_buffered.load();
     if (stats != nullptr) {
       stats->delta_candidates += st.delta_candidates;
       stats->delta_flows_reused += st.delta_flows_reused;
-      stats->delta_flows_certified += st.delta_flows_certified;
       stats->delta_flows_rerouted += st.delta_flows_rerouted;
-      stats->delta_cert_rejects += st.delta_cert_rejects;
       stats->delta_members_skipped += st.delta_members_skipped;
     }
   }
@@ -492,9 +486,7 @@ obs::Registry WidthSetStats::to_registry() const {
   reg.record_max("peak_buffered_outcomes", peak_buffered_outcomes);
   reg.add("delta_candidates", delta_candidates);
   reg.add("delta_flows_reused", delta_flows_reused);
-  reg.add("delta_flows_certified", delta_flows_certified);
   reg.add("delta_flows_rerouted", delta_flows_rerouted);
-  reg.add("delta_cert_rejects", delta_cert_rejects);
   reg.add("delta_members_skipped", delta_members_skipped);
   reg.set_gauge("delta_reuse_rate", delta_reuse_rate());
   return reg;

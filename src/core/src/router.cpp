@@ -1,7 +1,6 @@
 #include "vinoc/core/router.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -24,17 +23,6 @@ namespace vinoc::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Runtime switch for the vectorized relaxation filter; read once per
-/// Router construction (never mid-flow). The scalar and vector paths are
-/// bit-identical (see simd.hpp), so this is purely a test/verification
-/// knob.
-std::atomic<bool> g_router_simd{true};
-
-/// Runtime switch forcing the delta evaluator to verify every replay with
-/// the flow's own solo Dijkstra (see set_delta_cert_forced); read once per
-/// Router construction, like the SIMD toggle.
-std::atomic<bool> g_delta_cert_forced{false};
 
 soc::IslandId island_of_switch(const NocTopology& topo, int sw) {
   return topo.switches[static_cast<std::size_t>(sw)].island;
@@ -64,22 +52,6 @@ inline unsigned relax_survivors4(const double* dist, const double* floors,
 #endif
 
 }  // namespace
-
-bool set_router_simd_enabled(bool enabled) {
-  return g_router_simd.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool router_simd_enabled() {
-  return g_router_simd.load(std::memory_order_relaxed);
-}
-
-bool set_delta_cert_forced(bool enabled) {
-  return g_delta_cert_forced.exchange(enabled, std::memory_order_relaxed);
-}
-
-bool delta_cert_forced() {
-  return g_delta_cert_forced.load(std::memory_order_relaxed);
-}
 
 std::vector<std::size_t> bandwidth_descending_order(const soc::SocSpec& spec) {
   std::vector<std::size_t> order(spec.flows.size());
@@ -342,9 +314,6 @@ class Router {
       }
     }
 
-    use_simd_ = simd::compiled_vector() &&
-                g_router_simd.load(std::memory_order_relaxed);
-
     // Arm delta replay only when the reference's power normalizer is
     // bit-equal to ours: p_norm is the single cross-candidate coupling of
     // intra-island routing decisions (everything else an intra Dijkstra
@@ -360,7 +329,6 @@ class Router {
       delta_apply_ = delta_->pnorm_matched;
       if (delta_apply_) {
         delta_->island_tainted.assign(spec.islands.size(), 0);
-        cert_forced_ = g_delta_cert_forced.load(std::memory_order_relaxed);
         cross_armed_ = !opts_.forbid_direct_cross;
         if (cross_armed_) {
           cross_bound_ = CrossIslandBound(topo_, spec.islands.size(), opts_, k_,
@@ -769,17 +737,15 @@ class Router {
         // is bit-identical to the scalar tail loop's.
         int v = run.lo;
 #if defined(VINOC_SIMD_VECTOR_EXT)
-        if (use_simd_) {
-          for (; v + simd::kWidth <= run.hi; v += simd::kWidth) {
-            unsigned m = relax_survivors4(
-                &dist[static_cast<std::size_t>(v)],
-                &floor_row[static_cast<std::size_t>(v)],
-                &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
-                latpart);
-            while (m != 0) {
-              relax(v + __builtin_ctz(m));
-              m &= m - 1;
-            }
+        for (; v + simd::kWidth <= run.hi; v += simd::kWidth) {
+          unsigned m = relax_survivors4(
+              &dist[static_cast<std::size_t>(v)],
+              &floor_row[static_cast<std::size_t>(v)],
+              &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
+              latpart);
+          while (m != 0) {
+            relax(v + __builtin_ctz(m));
+            m &= m - 1;
           }
         }
 #endif
@@ -944,11 +910,10 @@ class Router {
   }
 
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
-  /// replay the record (or, under the forced certificate, re-derive the
-  /// path with their own solo Dijkstra and verify it against the record):
-  /// intra-island flows of an in-sync island, and — pass 1 only — cross-
-  /// island flows between in-sync islands while no link touches the
-  /// intermediate VI, whose recorded distance beats the CrossIslandBound.
+  /// replay the record: intra-island flows of an in-sync island, and —
+  /// pass 1 only — cross-island flows between in-sync islands while no
+  /// link touches the intermediate VI, whose recorded distance beats the
+  /// CrossIslandBound.
   /// AFFECTED flows — tainted islands, a touched VI, a certificate miss —
   /// route live; a live cross route whose hop sequence differs from the
   /// record's ends reuse for every island either sequence touches.
@@ -975,24 +940,6 @@ class Router {
                    tainted[static_cast<std::size_t>(dst_isl)] == 0 &&
                    cross_bound_.certifies(rec.dist, flow, src_isl, dst_isl)));
     if (in_sync) {
-      if (cert_forced_) {
-        // Route-equivalence certificate: the flow's own solo Dijkstra over
-        // the current state (route_flow IS that Dijkstra). Acceptance proves
-        // the replay would have been bit-identical; a rejection taints the
-        // islands and keeps the certified path, so results never depend on
-        // the record or the bound being right.
-        if (!route_flow(flow_idx, outcome)) return false;
-        reconstruct_hops(flow_idx, delta_->actual_hops);
-        if (delta_->actual_hops == rec.hops) {
-          ++delta_->flows_certified;
-        } else {
-          ++delta_->cert_rejects;
-          ++delta_->flows_rerouted;
-          taint_hops(rec.hops);
-          taint_hops(delta_->actual_hops);
-        }
-        return true;
-      }
       const int replayed = replay_recorded_flow(flow_idx, rec, s_sw, d_sw, outcome);
       if (replayed >= 0) {
         ++delta_->flows_reused;
@@ -1071,7 +1018,6 @@ class Router {
   DeltaReference* rec_out_ = nullptr;  ///< recording observer (reference runs)
   DeltaRouteState* delta_ = nullptr;   ///< delta replay state (member runs)
   bool delta_apply_ = false;  ///< delta armed: reference valid, p_norm equal
-  bool cert_forced_ = false;  ///< verify every replay with its solo Dijkstra
   bool cross_armed_ = false;  ///< cross-island replay possible (pass 1)
   bool intermediate_touched_ = false;  ///< a link opened at a VI switch
   CrossIslandBound cross_bound_;       ///< valid when cross_armed_
@@ -1084,9 +1030,6 @@ class Router {
   std::vector<int> island_begin_;
   std::vector<int> island_end_;
   bool contiguous_ = false;
-  /// Vectorized relaxation filter enabled (compiled in AND not disabled at
-  /// runtime); sampled once at construction.
-  bool use_simd_ = false;
   std::vector<double> floor_;  ///< n x n opening-cost floors of this pass
   // Pruning state; power_lb_ < 0 means pruning disabled for this pass.
   double power_lb_ = -1.0;

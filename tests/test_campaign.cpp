@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "byte_mutations.hpp"
+#include "cli_process.hpp"
 #include "vinoc/campaign/campaign_spec.hpp"
 #include "vinoc/campaign/engine.hpp"
 #include "vinoc/campaign/report.hpp"
 #include "vinoc/campaign/result_cache.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/core/synthesis.hpp"
+#include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
 #include "vinoc/io/obs_writers.hpp"
 
@@ -188,6 +190,35 @@ TEST(CampaignSpec, MutatedCampaignsParseOrReportErrors) {
     EXPECT_NO_THROW(r = parse_campaign_spec_string(m.text)) << m.label;
     EXPECT_EQ(r.ok, r.errors.empty()) << m.label;
   }
+}
+
+TEST(CampaignSpec, MutatedCampaignsExitTheCliWithDocumentedCodes) {
+  // A prefix of the same mutant table through the real CLI, each run cut
+  // off by a short --deadline: every mutant must end in a documented exit
+  // code — never a runtime error (1) or a signal. Each run costs at most
+  // about its deadline, so the 120-mutant prefix keeps the test near 15 s
+  // in Release.
+  namespace fs = std::filesystem;
+  constexpr int kPrefix = 120;
+  std::ifstream in(VINOC_SOURCE_DIR "/examples/smoke.campaign");
+  ASSERT_TRUE(in.good());
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const fs::path dir = fs::path(testing::TempDir()) / "vinoc_campaign_cli_mutants";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "mutant.campaign").string();
+  const std::vector<test_support::Mutant> mutants =
+      test_support::byte_mutations(buffer.str(), /*seed=*/0xCA4, /*count=*/400);
+  for (int i = 0; i < kPrefix; ++i) {
+    const test_support::Mutant& m = mutants[static_cast<std::size_t>(i)];
+    io::write_file(path, m.text);
+    const int status = test_support::run_cli(
+        {"campaign", path, "--threads", "1", "--deadline", "0.2", "--out",
+         (dir / "out").string()});
+    EXPECT_EQ(test_support::undocumented_exit(status), "") << m.label;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(CampaignReport, RecordRoundTripsThroughJsonl) {
@@ -525,9 +556,7 @@ TEST(CampaignEngine, ResumeSummarySerializationIsCanonical) {
       "peak_buffered_outcomes",
       "delta_candidates",
       "delta_flows_reused",
-      "delta_flows_certified",
       "delta_flows_rerouted",
-      "delta_cert_rejects",
       "retries",
       "job_timeouts",
       "quarantined_jobs",

@@ -1,9 +1,10 @@
 // Absolute golden pins: literal result_fingerprint values for a fixed
-// matrix of synthesize() runs and explore_link_widths() sweeps. The other
+// matrix of synthesize() runs and explore_link_widths() sweeps. Most
 // bit-identity tests compare two paths of the same binary (sweep vs solo,
-// delta on vs off, SIMD vs scalar), so a change to the shared routing
-// kernel moves both sides together and stays invisible there; these pins
-// catch it. A mismatch prints every actual value. The pins are
+// delta on vs off), so a change to the shared routing kernel moves both
+// sides together and stays invisible there; these pins catch it, and
+// test_reference says which side is right. A mismatch prints every actual
+// value. The pins are
 // deliberately not regenerable from the test: changing one means a result
 // changed, which must be explained, not re-recorded.
 #include <gtest/gtest.h>

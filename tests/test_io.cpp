@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "byte_mutations.hpp"
+#include "cli_process.hpp"
 #include "vinoc/core/synthesis.hpp"
 #include "vinoc/io/exports.hpp"
 #include "vinoc/io/jsonl.hpp"
@@ -130,6 +131,26 @@ TEST(SpecFormat, MutatedSpecsParseOrReportErrors) {
     ParseResult r;
     EXPECT_NO_THROW(r = parse_soc_spec_string(m.text)) << m.label;
     EXPECT_EQ(r.ok, r.errors.empty()) << m.label;
+  }
+}
+
+TEST(SpecFormat, MutatedSpecsExitTheCliWithDocumentedCodes) {
+  // The same mutant table through the real CLI: parse, validation,
+  // synthesis and output all run, and every mutant must end in a
+  // documented exit code — never a runtime error (1) or a signal.
+  const soc::Benchmark d26 = soc::make_d26_media_soc();
+  const std::string text =
+      write_soc_spec(soc::with_logical_islands(d26.soc, 4, d26.use_cases));
+  const std::string base = ::testing::TempDir() + "/vinoc_io_cli_mutant";
+  for (const test_support::Mutant& m :
+       test_support::byte_mutations(text, /*seed=*/0x50C, /*count=*/400)) {
+    write_file(base + ".soc", m.text);
+    const int status = test_support::run_cli(
+        {"synth", base + ".soc", "--threads", "1", "--out", base});
+    EXPECT_EQ(test_support::undocumented_exit(status), "") << m.label;
+  }
+  for (const char* ext : {".soc", ".dot", ".svg", ".csv"}) {
+    std::remove((base + ext).c_str());
   }
 }
 

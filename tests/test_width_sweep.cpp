@@ -3,9 +3,8 @@
 // synthesize() checks that sharing work across widths (enumeration per
 // class, partition cache, geometry token, per-width merges) never changes
 // a result: bit-identity for every thread count and both prune settings,
-// delta-evaluation tallies equal to the one-width runs', SIMD-vs-scalar
-// relaxation-filter bit-identity, the streaming per-width merge's buffer
-// cap, the cross-width partition cache, sweep-global progress reporting,
+// delta-evaluation tallies equal to the one-width runs', the streaming
+// per-width merge's buffer cap, the cross-width partition cache, sweep-global progress reporting,
 // and the flat PartitionTable container.
 #include <gtest/gtest.h>
 
@@ -13,8 +12,6 @@
 #include <set>
 #include <string>
 #include <vector>
-
-#include "vinoc/core/router.hpp"
 
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/core/candidates.hpp"
@@ -148,43 +145,6 @@ TEST(WidthSweep, DeltaTalliesEqualPerWidthSynthesize) {
     }
   }
   EXPECT_GT(replayed, 0);  // the comparison is not vacuous
-}
-
-TEST(WidthSweep, SimdAndScalarRelaxationFiltersAreBitIdentical) {
-  // The 4-wide relaxation filter must be a pure accelerant: across the
-  // widths x threads x prune matrix, fingerprints with the vector filter
-  // must equal the scalar reference's. In VINOC_SIMD_FORCE_SCALAR builds
-  // the toggle is a no-op and both passes run the scalar path.
-  const soc::Benchmark d26 = soc::make_d26_media_soc();
-  const std::vector<soc::SocSpec> specs = {
-      multi_island_spec(12, 3),
-      soc::with_logical_islands(d26.soc, 4, d26.use_cases)};
-  const std::vector<int> widths = {32, 64, 128, 160};
-  const bool was_enabled = router_simd_enabled();
-  for (const soc::SocSpec& spec : specs) {
-    for (const bool prune : {true, false}) {
-      for (const int threads : {1, 4}) {
-        SynthesisOptions opt;
-        opt.prune = prune;
-        opt.threads = threads;
-        std::vector<std::uint64_t> scalar_fps;
-        set_router_simd_enabled(false);
-        for (const WidthSweepEntry& e :
-             explore_link_widths(spec, widths, opt).entries) {
-          scalar_fps.push_back(e.feasible ? fp(e.result) : 0);
-        }
-        set_router_simd_enabled(true);
-        std::vector<std::uint64_t> simd_fps;
-        for (const WidthSweepEntry& e :
-             explore_link_widths(spec, widths, opt).entries) {
-          simd_fps.push_back(e.feasible ? fp(e.result) : 0);
-        }
-        EXPECT_EQ(scalar_fps, simd_fps)
-            << "prune " << prune << " threads " << threads;
-      }
-    }
-  }
-  set_router_simd_enabled(was_enabled);
 }
 
 TEST(WidthSweep, StreamingMergeCapsBufferedOutcomes) {

@@ -503,13 +503,12 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
       counter("width_classes"), counter("partition_cache_hits"),
       counter("peak_buffered_outcomes"));
   std::printf(
-      "delta: %lld candidates replayed, %lld flows reused + %lld certified, "
-      "%lld rerouted (%.0f%% reuse rate, %lld certificate rejects), %lld "
-      "members skipped\n",
+      "delta: %lld candidates replayed, %lld flows reused, %lld rerouted "
+      "(%.0f%% reuse rate), %lld members skipped\n",
       counter("delta_candidates"), counter("delta_flows_reused"),
-      counter("delta_flows_certified"), counter("delta_flows_rerouted"),
+      counter("delta_flows_rerouted"),
       sweep_reg.gauge("delta_reuse_rate") * 100.0,
-      counter("delta_cert_rejects"), counter("delta_members_skipped"));
+      counter("delta_members_skipped"));
   return kExitOk;
 }
 
@@ -816,10 +815,9 @@ int cmd_campaign(const Args& args) {
   std::fprintf(
       stderr,
       "sharing: peak %d buffered outcomes; delta: %d candidates, %lld "
-      "reused + %lld certified, %lld rerouted (%.0f%% reuse rate), %d "
-      "members skipped\n",
-      result.peak_buffered_outcomes(), result.delta_candidates(), result.delta_flows_reused(),
-      result.delta_flows_certified(), result.delta_flows_rerouted(),
+      "reused, %lld rerouted (%.0f%% reuse rate), %d members skipped\n",
+      result.peak_buffered_outcomes(), result.delta_candidates(),
+      result.delta_flows_reused(), result.delta_flows_rerouted(),
       result.delta_reuse_rate() * 100.0, result.delta_members_skipped());
   // Machine-readable run summary: scripts (and CI's resume assertion) parse
   // this line instead of the human-formatted one above. The serialization
