@@ -165,9 +165,10 @@ void print_table(bool quick) {
               legacy_total.median, shared_total.median,
               legacy_total.median / shared_total.median);
 
-  // Sharing observability on the aggregate case list (deterministic at
-  // threads=1).
+  // Sharing and delta observability on the aggregate case list
+  // (deterministic at threads=1).
   long long partition_hits = 0;
+  long long members_skipped = 0;
   int peak_buffered = 0;
   for (const Case& c : cases) {
     exec::ThreadPool pool(1);
@@ -175,6 +176,7 @@ void print_table(bool quick) {
     core::WidthSetStats st;
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
     partition_hits += st.partition_cache_hits;
+    members_skipped += st.delta_members_skipped;
     peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
   }
 
@@ -190,11 +192,15 @@ void print_table(bool quick) {
   bench::append_metric(
       w, "width_cands_per_s",
       bench::rate_from_time(shared_total, static_cast<double>(evals_total)));
-  // The sharing counters are deterministic at threads=1 (MAD 0 by
-  // construction); gating them still catches a sharing-machinery change.
+  // The sharing and skip counters are deterministic at threads=1 (MAD 0
+  // by construction); gating them still catches a sharing-machinery or
+  // cross-island certificate change.
   bench::append_metric(
       w, "partition_cache_hits",
       bench::exact_stat(static_cast<double>(partition_hits), reps_floor));
+  bench::append_metric(
+      w, "members_skipped",
+      bench::exact_stat(static_cast<double>(members_skipped), reps_floor));
   bench::append_metric(
       w, "peak_buffered_outcomes",
       bench::exact_stat(static_cast<double>(peak_buffered), reps_floor));

@@ -161,9 +161,10 @@ struct DeltaHop {
 struct DeltaRouteRec {
   std::vector<DeltaHop> hops;
   /// The reference Dijkstra's exact distance of the destination switch —
-  /// the input of the cross-island certificate (see route_all_flows). NaN
-  /// (never certifies) unless the flow was routed live over a topology
-  /// without intermediate switches.
+  /// the input of the cross-island certificate (see route_all_flows), which
+  /// compares it with the flow's own lower bound on every path through the
+  /// intermediate VI. NaN (never certifies) unless the flow was routed live
+  /// over a topology without intermediate switches.
   double dist = std::numeric_limits<double>::quiet_NaN();
 };
 
@@ -290,8 +291,12 @@ struct RouteOutcome {
 /// flows while their island's incremental state is proven in sync with the
 /// reference's, and (pass 1) cross-island flows between in-sync islands
 /// while no link touches the intermediate VI, when the recorded distance
-/// is strictly below a closed-form lower bound on every path through the
-/// intermediate VI (see README). Affected flows route live. Results are
+/// is strictly below the flow's closed-form lower bound on every path
+/// through the intermediate VI. That bound starts from the flow's own
+/// endpoint switches: the Manhattan detour through the nearest ring switch
+/// prices the wire energy, the cheapest island-ring-island opening prices
+/// the two forced crossings (see router.cpp and README). Affected flows
+/// route live. Results are
 /// bit-identical to a run without `delta` — replay is sound exactly
 /// because, per island, the router's state equals the reference's at the
 /// same routing position until a diverging live route taints it.
@@ -305,8 +310,11 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
 /// Whole-member certificate of delta evaluation, checked BEFORE routing:
 /// true when `delta.ref` recorded every flow of a fully routed pass 1, the
 /// power normalizers are bit-equal and every cross-island flow passes the
-/// cross-island certificate on `topo`'s unrouted geometry. The bound does
-/// not depend on routing state, so by induction over the flow order
+/// cross-island certificate on `topo`'s unrouted geometry: its recorded
+/// distance is below the per-flow bound built from its endpoint switches,
+/// the member's ring switches and the islands' frequencies and core-only
+/// crossbar energies. The bound does not depend on routing state, so by
+/// induction over the flow order
 /// route_all_flows(topo, ..., &delta) would replay every flow and produce
 /// the reference's routing exactly. On success the outputs of `delta` are
 /// set as that replay would set them, plus member_skipped; on failure they

@@ -137,75 +137,137 @@ double power_normalizer(const NocTopology& topo, const soc::SocSpec& spec,
 /// sides sum the same non-negative terms in different association orders:
 /// a computed opening cost is within ~12 ulp (relative) of its real value,
 /// a path sum adds one rounding per hop of non-negative terms, and the
-/// bound itself rounds ~12 times — under 40 ulp (~1e-14) in all. 1e-12
-/// leaves more than 100x of that in reserve.
+/// bound itself rounds ~25 times — under 60 ulp (~1.4e-14) in all. 1e-12
+/// leaves more than 70x of that in reserve.
 constexpr double kCrossBoundMargin = 1e-12;
 
-/// The cross-island certificate of delta replay. While no link touches the
-/// intermediate VI, a path of a flow from island A to island B through it
-/// must OPEN an A->VI link and a VI->B link (link_admissible allows no
-/// other way in or out of the VI) and every other hop costs >= 0. Opening
-/// u->v costs alpha * (bw * slope + floor) / p_norm + latpart_cross with
-///   slope = link_dyn * len + ebit(v) + fifo_dyn,
-///   floor = idle * (f_u + f_v) + link_leak * len * width + fifo_leak,
-/// all terms non-negative, and ebit(v) only grows as ports open. Minimising
-/// slope and floor separately over each island's pairs with the VI on the
-/// UNROUTED topology therefore bounds every such path from below for the
-/// whole pass, at O(1) per flow. If the reference's exact distance beats
-/// the bound, the VI switches can neither be extracted ahead of the
-/// destination with a smaller key nor improve any node the reference path
-/// uses, so the live Dijkstra would pick the recorded path (same nodes,
-/// same reuse-vs-open choices, same tie order) — see README.
+/// The cross-island certificate of delta replay: a per-flow lower bound on
+/// every path through the intermediate VI, valid while no link touches the
+/// VI. link_admissible lets a flow from switch s in island A to switch d in
+/// island B use the VI only as a walk s ~>A u -> w ~>ring w' -> v ~>B d: A
+/// links into the VI, the VI links only into B, and nothing leads back.
+/// With no VI link open, u->w, every ring hop and w'->v must OPEN. A hop
+/// a->b costs alpha * p / p_norm + latpart with
+///   p = bw * (link_dyn * len + ebit(b) [+ fifo_dyn])          every hop,
+///     + idle * (f_a + f_b) + link_leak * len * width [+ fifo_leak]
+///                                                         when it opens,
+/// bracketed terms on crossings only. Every term is non-negative, and
+/// ebit(b) is at least its core-only value (it only grows as ports open).
+/// Summing over the walk and dropping every other term:
+///  * every hop pays bw * link_dyn * len, and by the triangle inequality on
+///    Manhattan lengths M the walk is at least M(s,w) + M(w,d) long, so at
+///    least Dmin(s,d) = min_w M(s,w) + M(w,d);
+///  * the two crossings pay 2 * (bw * fifo_dyn + fifo_leak + latpart_cross)
+///    and the crossbar energy of w and v, at least ebit_min(VI) +
+///    ebit_min(B), and they open ports clocked at least at f_A, f_VI,min
+///    (twice) and f_B;
+///  * the opened hops are at least M(u,w) + M(w,v) long, so at least
+///    G(A,B) = min_w minlen(A,w) + minlen(w,B), where minlen(X,w) is the
+///    shortest Manhattan length from w to a switch of island X.
+/// If the reference's exact distance dist_ref is strictly below the bound
+/// (less the kCrossBoundMargin slack), no walk through the VI reaches a
+/// node of the recorded path at a cost <= that node's recorded distance:
+/// such a walk ends in B, and extending it along the recorded path (which
+/// stays in B from there) would reach d at a cost <= dist_ref. VI walks
+/// reach no node of A, and a relaxation updates only on a strict
+/// improvement, so every node of the recorded path keeps its distance and
+/// predecessor: the live Dijkstra picks the recorded hops, the same
+/// reuse-vs-open choices and the same tie order (see README). The bound
+/// reads only the UNROUTED topology, so one instance serves a whole pass,
+/// at O(k_int) per flow.
 struct CrossIslandBound {
-  std::vector<double> out_floor, out_slope;  ///< A->VI minima, per island
-  std::vector<double> in_floor, in_slope;    ///< VI->B minima, per island
+  std::size_t n_ring = 0;
+  /// M(u, w) per switch u and VI switch w, switches x n_ring.
+  std::vector<double> ring_len;
+  /// Per destination island B: bw-proportional crossing terms,
+  /// 2 * fifo_dyn + ebit_min(VI) + ebit_min(B).
+  std::vector<double> cross_slope;
+  /// Per island pair (A, B), n_islands x n_islands: the opening terms,
+  /// idle * (f_A + 2 * f_VI,min + f_B) + 2 * fifo_leak
+  ///   + link_leak * width * G(A,B).
+  std::vector<double> open_floor;
+  std::size_t n_islands = 0;
+  double scale = 0.0;  ///< alpha / p_norm
+  double link_dyn = 0.0;
   double alpha = 0.0;
   double hop_lat_cross = 0.0;
 
   CrossIslandBound() = default;
-  CrossIslandBound(const NocTopology& topo, std::size_t n_islands,
+  CrossIslandBound(const NocTopology& topo, std::size_t n_isl,
                    const RouterOptions& opts, const CostCoeffs& k,
                    double p_norm)
-      : out_floor(n_islands, kInf),
-        out_slope(n_islands, kInf),
-        in_floor(n_islands, kInf),
-        in_slope(n_islands, kInf),
+      : n_islands(n_isl),
+        scale(opts.alpha_power / p_norm),
+        link_dyn(k.link_dyn),
         alpha(opts.alpha_power),
         hop_lat_cross(k.hop_lat_cross) {
-    const double width = static_cast<double>(opts.link_width_bits);
-    const double scale = opts.alpha_power / p_norm;
+    std::vector<floorplan::Point> ring;
     for (const SwitchInst& w : topo.switches) {
-      if (w.island != kIntermediateIsland) continue;
-      const double ebit_w = k.ebit(static_cast<int>(w.cores.size()));
-      for (const SwitchInst& u : topo.switches) {
-        const auto i = static_cast<std::size_t>(u.island);
-        if (u.island == kIntermediateIsland || i >= n_islands) continue;
-        const double len = floorplan::manhattan_mm(u.pos, w.pos);
-        const double floor =
-            scale * ((k.idle_w_per_hz * (u.freq_hz + w.freq_hz) +
-                      k.link_leak * len * width) +
-                     k.fifo_leak);
-        const double wire = k.link_dyn * len + k.fifo_dyn;
-        const double ebit_u = k.ebit(static_cast<int>(u.cores.size()));
-        out_floor[i] = std::min(out_floor[i], floor);
-        in_floor[i] = std::min(in_floor[i], floor);
-        out_slope[i] = std::min(out_slope[i], scale * (wire + ebit_w));
-        in_slope[i] = std::min(in_slope[i], scale * (wire + ebit_u));
+      if (w.island == kIntermediateIsland) ring.push_back(w.pos);
+    }
+    const std::size_t nr = ring.size();
+    n_ring = nr;
+    ring_len.assign(topo.switches.size() * nr, kInf);
+    // Per island (the VI in slot n_isl): minimum frequency and core-only
+    // crossbar energy; per real island and VI switch: minlen.
+    std::vector<double> freq_min(n_isl + 1, kInf);
+    std::vector<double> ebit_min(n_isl + 1, kInf);
+    std::vector<double> minlen(n_isl * nr, kInf);
+    for (std::size_t u = 0; u < topo.switches.size(); ++u) {
+      const SwitchInst& sw = topo.switches[u];
+      const std::size_t i = sw.island == kIntermediateIsland
+                                ? n_isl
+                                : static_cast<std::size_t>(sw.island);
+      if (i > n_isl) continue;
+      freq_min[i] = std::min(freq_min[i], sw.freq_hz);
+      ebit_min[i] =
+          std::min(ebit_min[i], k.ebit(static_cast<int>(sw.cores.size())));
+      if (i == n_isl) continue;
+      for (std::size_t r = 0; r < nr; ++r) {
+        const double len = floorplan::manhattan_mm(sw.pos, ring[r]);
+        ring_len[u * nr + r] = len;
+        minlen[i * nr + r] = std::min(minlen[i * nr + r], len);
+      }
+    }
+    const double width = static_cast<double>(opts.link_width_bits);
+    cross_slope.assign(n_isl, 0.0);
+    open_floor.assign(n_isl * n_isl, kInf);
+    for (std::size_t b = 0; b < n_isl; ++b) {
+      cross_slope[b] = 2.0 * k.fifo_dyn + ebit_min[n_isl] + ebit_min[b];
+    }
+    for (std::size_t a = 0; a < n_isl; ++a) {
+      for (std::size_t b = 0; b < n_isl; ++b) {
+        double gap = kInf;
+        for (std::size_t r = 0; r < nr; ++r) {
+          gap = std::min(gap, minlen[a * nr + r] + minlen[b * nr + r]);
+        }
+        open_floor[a * n_isl + b] =
+            k.idle_w_per_hz * (freq_min[a] + 2.0 * freq_min[n_isl] + freq_min[b]) +
+            2.0 * k.fifo_leak + k.link_leak * width * gap;
       }
     }
   }
 
   /// True when `dist_ref` (the reference's exact destination distance of
-  /// `flow`, from island a to island b) is strictly below every path
-  /// through the VI. NaN never certifies.
+  /// `flow`, from switch `s` in island a to switch `d` in island b) is
+  /// strictly below every path through the VI. NaN never certifies.
   [[nodiscard]] bool certifies(double dist_ref, const soc::Flow& flow,
-                               soc::IslandId a, soc::IslandId b) const {
+                               soc::IslandId a, soc::IslandId b, int s,
+                               int d) const {
+    const double* to_s = ring_len.data() + static_cast<std::size_t>(s) * n_ring;
+    const double* to_d = ring_len.data() + static_cast<std::size_t>(d) * n_ring;
+    double dmin = kInf;
+    for (std::size_t r = 0; r < n_ring; ++r) {
+      dmin = std::min(dmin, to_s[r] + to_d[r]);
+    }
     const auto ia = static_cast<std::size_t>(a);
     const auto ib = static_cast<std::size_t>(b);
     const double bw = flow.bandwidth_bits_per_s;
     const double lat = (1.0 - alpha) * (hop_lat_cross / flow.max_latency_cycles);
-    const double lb = (out_floor[ia] + bw * out_slope[ia] + lat) +
-                      (in_floor[ib] + bw * in_slope[ib] + lat);
+    const double lb =
+        scale * (bw * (link_dyn * dmin + cross_slope[ib]) +
+                 open_floor[ia * n_islands + ib]) +
+        2.0 * lat;
     return dist_ref < lb * (1.0 - kCrossBoundMargin);
   }
 };
@@ -938,7 +1000,8 @@ class Router {
         tainted[static_cast<std::size_t>(src_isl)] == 0 &&
         (intra || (cross_armed_ && !intermediate_touched_ &&
                    tainted[static_cast<std::size_t>(dst_isl)] == 0 &&
-                   cross_bound_.certifies(rec.dist, flow, src_isl, dst_isl)));
+                   cross_bound_.certifies(rec.dist, flow, src_isl, dst_isl,
+                                          s_sw, d_sw)));
     if (in_sync) {
       const int replayed = replay_recorded_flow(flow_idx, rec, s_sw, d_sw, outcome);
       if (replayed >= 0) {
@@ -1159,14 +1222,16 @@ bool certify_delta_member(const NocTopology& topo, const soc::SocSpec& spec,
   int replayed = 0;
   for (std::size_t pos = 0; pos < order->size(); ++pos) {
     const soc::Flow& flow = spec.flows[(*order)[pos]];
-    if (topo.switch_of_core[static_cast<std::size_t>(flow.src)] ==
-        topo.switch_of_core[static_cast<std::size_t>(flow.dst)]) {
+    const int s_sw = topo.switch_of_core[static_cast<std::size_t>(flow.src)];
+    const int d_sw = topo.switch_of_core[static_cast<std::size_t>(flow.dst)];
+    if (s_sw == d_sw) {
       continue;  // trivial: routed live and uncounted by the replay too
     }
     ++replayed;
     const soc::IslandId a = spec.cores[static_cast<std::size_t>(flow.src)].island;
     const soc::IslandId b = spec.cores[static_cast<std::size_t>(flow.dst)].island;
-    if (a != b && !bound.certifies(ref->records[pos].dist, flow, a, b)) {
+    if (a != b &&
+        !bound.certifies(ref->records[pos].dist, flow, a, b, s_sw, d_sw)) {
       return false;
     }
   }

@@ -2,7 +2,8 @@
 // path against from-scratch evaluation (threads x prune x deterministic_prune
 // on seed benchmarks and synthetic multi-island specs), reuse-counter
 // sanity at threads == 1 (the reference always precedes its members), the
-// pinned d64/l2 outcome ledger and skip count, the cross-island
+// pinned d64/l2 outcome ledger and skip count, the d64/l4 fine sweep's
+// ledger with every member skipped, the cross-island
 // certificate's miss path, and composition with the width sweep on both the
 // default and fine width grids. Both sides of these comparisons share the
 // engine's router; test_reference checks delta-on results against the
@@ -122,6 +123,36 @@ TEST(DeltaEval, D64TwoIslandLedgerAndSkipsArePinned) {
   EXPECT_EQ(r.stats.rejected_deadlock, 10);
   EXPECT_EQ(r.stats.rejected_pruned, 12);
   EXPECT_EQ(r.stats.delta_members_skipped, kD64L2Skips);
+}
+
+TEST(DeltaEval, D64FourIslandFineSweepSkipsEveryMember) {
+  // At wide widths the router leaves the offered intermediate ring unused,
+  // and the per-flow cross-island bound proves it before routing: every
+  // delta member of the fine sweep copies its reference, and no flow
+  // routes live. The ledger must not move.
+  const soc::SocSpec spec = islanded(soc::make_d64_tile_soc(), 4);
+  SynthesisOptions opt;
+  opt.threads = 1;
+  opt.partition_seed = 1;
+  const WidthSweepResult sweep =
+      explore_link_widths(spec, {128, 160, 192, 256}, opt);
+  int saved = 0, duplicate = 0, pruned = 0, candidates = 0, skipped = 0;
+  long long rerouted = 0;
+  for (const WidthSweepEntry& e : sweep.entries) {
+    ASSERT_TRUE(e.feasible) << "width " << e.width_bits;
+    saved += e.result.stats.configs_saved;
+    duplicate += e.result.stats.rejected_duplicate;
+    pruned += e.result.stats.rejected_pruned;
+    candidates += e.result.stats.delta_candidates;
+    skipped += e.result.stats.delta_members_skipped;
+    rerouted += e.result.stats.delta_flows_rerouted;
+  }
+  EXPECT_EQ(saved, 128);
+  EXPECT_EQ(duplicate, 4910);
+  EXPECT_EQ(pruned, 2);
+  EXPECT_EQ(candidates, 4900);
+  EXPECT_EQ(skipped, 4900);
+  EXPECT_EQ(rerouted, 0);
 }
 
 TEST(DeltaEval, CrossCertificateMissesRouteLive) {

@@ -60,13 +60,15 @@ struct Config {
 
 /// The differential matrix, slowest oracle runs first so the four workers
 /// finish together. The synthetic 64-core SoC at l4 is where the engine's
-/// cross-island delta certificate rejects most often.
+/// cross-island delta certificate rejects most often at w32; at w128 it
+/// proves every delta member identical to its reference before routing.
 const std::vector<Config>& configs() {
   static const std::vector<Config> all = [] {
     const soc::Benchmark d26 = soc::make_d26_media_soc();
     const soc::Benchmark d36 = soc::make_d36_settop_soc();
     const soc::Benchmark d64 = soc::make_d64_tile_soc();
     std::vector<Config> c;
+    c.push_back({"syn64_h4_s7_l4_w128", synthetic(64, 4, 7, 0, 4), 128});
     c.push_back({"d64_l4_w32", logical(d64, 4), 32});
     c.push_back({"d64_l4_w64", logical(d64, 4), 64});
     c.push_back({"d64_l2_w32", logical(d64, 2), 32});
