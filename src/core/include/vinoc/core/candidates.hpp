@@ -33,6 +33,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -149,13 +150,24 @@ enum class EvalStatus {
 /// to sequential ones for any thread count (see OutcomeMerger).
 struct CandidateOutcome {
   EvalStatus status = EvalStatus::kRejectedUnroutable;
+  /// On a skipped member only switches_per_island, intermediate_switches
+  /// and metrics are filled; the topology lives in `shared`.
   DesignPoint point;
   /// Structural design signature for order-dependent deduplication, which
-  /// therefore happens in the index-ordered merge, not here.
+  /// therefore happens in the index-ordered merge, not here. Empty on a
+  /// skipped member (see `shared`).
   std::vector<int> signature;
   bool deadlock_free = true;
   double pruned_power_lb_w = 0.0;
   double pruned_latency_lb_cycles = 0.0;
+  /// Set only on a delta member that certify_delta_member() skipped: its
+  /// reference's published outcome (DeltaReference::outcome), whose
+  /// point.topology and signature are this candidate's own. The status,
+  /// deadlock_free, point fields above and the member's own `pruned_*`
+  /// checkpoint are filled here, so callers that read only those need not
+  /// look further; the merge reads the signature, and copies the point,
+  /// through this pointer.
+  std::shared_ptr<const CandidateOutcome> shared;
 };
 
 /// Per-worker scratch arena for the evaluation stage: router state, metrics
@@ -204,15 +216,21 @@ class EvalScratchPool {
 ///
 /// `delta_record` / `delta` opt into the candidate-level delta evaluator
 /// (see route_all_flows): a group REFERENCE evaluation records its routed
-/// hop sequences into `delta_record` (pure observation) and, when it has no
-/// intermediate switches and routes every flow, publishes its outcome there
-/// too — a reference pruned mid-routing finishes an unbounded routing for
-/// that, while still returning its pruned outcome. An adjacent MEMBER
-/// evaluation replays the records via `delta`, re-routing only the flows
-/// the config diff can affect; a member that certify_delta_member() proves
-/// identical before routing returns a copy of the published outcome with
-/// its own pre-routing bound checkpoint. Either way the outcome is
-/// bit-identical to a plain evaluation of the same candidate.
+/// hop sequences into `delta_record` (pure observation), its pre-routing
+/// bound checkpoint and, when it has no intermediate switches and routes
+/// every flow, its outcome there too — a reference pruned mid-routing
+/// finishes an unbounded routing for that, while still returning its
+/// pruned outcome. An adjacent MEMBER evaluation (k_int > 0) against a
+/// published outcome first checks its bound against the reference's
+/// checkpoint (bit-equal to its own), then asks certify_delta_member()
+/// whether it would replay every flow, from the published topology and its
+/// own ring positions alone. A certified member builds no switches and
+/// routes nothing: it returns the published status, deadlock verdict,
+/// point counts and metrics, its checkpoint, and `shared` pointing at the
+/// published outcome. Otherwise it is built and replays the records via
+/// `delta`, re-routing only the flows the config diff can affect. Either
+/// way the outcome describes the same design as a plain evaluation of the
+/// same candidate.
 [[nodiscard]] CandidateOutcome evaluate_candidate(const EvalContext& ctx,
                                                   const CandidateConfig& cand,
                                                   EvalScratch* scratch = nullptr,

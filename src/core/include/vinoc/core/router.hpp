@@ -183,9 +183,20 @@ struct DeltaReference {
   /// The reference's finished routed evaluation, set by evaluate_candidate
   /// when a reference without intermediate switches routed every flow (a
   /// reference pruned mid-routing finishes an unbounded routing for it).
-  /// A member proven to replay every flow (certify_delta_member) returns a
-  /// copy instead of routing. Read-only once published.
+  /// Its topology is the certificate's input for the group's members: they
+  /// share its island switches (same partitions, centroids and ids). A
+  /// member proven to replay every flow (certify_delta_member) builds
+  /// nothing and returns an outcome that points here for its topology and
+  /// signature (CandidateOutcome::shared). Read-only once published;
+  /// members on several threads read it concurrently.
   std::shared_ptr<const CandidateOutcome> outcome;
+  /// The reference's pre-routing bound checkpoint (power, average latency),
+  /// set by evaluate_candidate when it evaluated the reference with a
+  /// ParetoBound, NaN otherwise. It is also every member's checkpoint:
+  /// ring switches carry no cores and no endpoint traffic, so each adds
+  /// exactly +0.0 to the power floor and changes no flow's latency floor.
+  double base_power_lb_w = std::numeric_limits<double>::quiet_NaN();
+  double base_latency_lb_cycles = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Per-evaluation state of a delta (route-reuse) routing run; see
@@ -307,19 +318,27 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                              DeltaReference* record = nullptr,
                              DeltaRouteState* delta = nullptr);
 
-/// Whole-member certificate of delta evaluation, checked BEFORE routing:
-/// true when `delta.ref` recorded every flow of a fully routed pass 1, the
-/// power normalizers are bit-equal and every cross-island flow passes the
-/// cross-island certificate on `topo`'s unrouted geometry: its recorded
-/// distance is below the per-flow bound built from its endpoint switches,
-/// the member's ring switches and the islands' frequencies and core-only
-/// crossbar energies. The bound does not depend on routing state, so by
-/// induction over the flow order
-/// route_all_flows(topo, ..., &delta) would replay every flow and produce
-/// the reference's routing exactly. On success the outputs of `delta` are
-/// set as that replay would set them, plus member_skipped; on failure they
-/// are left untouched.
-[[nodiscard]] bool certify_delta_member(const NocTopology& topo,
+/// Whole-member certificate of delta evaluation, checked BEFORE the
+/// member's topology is built (none is). It reads `ref_topo`, the
+/// topology `delta.ref` published (the member's island switches: positions,
+/// frequencies, core lists, switch_of_core), the member's `ring` switch
+/// positions (ring_positions order, not yet in any topology) and their
+/// frequency `ring_freq_hz`; from `options` only alpha_power,
+/// link_width_bits, tech, flow_order and forbid_direct_cross. True when
+/// `delta.ref` recorded every flow of a fully routed pass 1, the member's
+/// power normalizer (island switches plus ring) is bit-equal to the
+/// reference's and every cross-island flow passes the cross-island
+/// certificate: its recorded distance is below the per-flow bound built
+/// from its endpoint switches, the ring and the islands' frequencies and
+/// core-only crossbar energies. The bound does not depend on routing state,
+/// so by induction over the flow order route_all_flows on the member's
+/// topology with `delta` would replay every flow and produce the
+/// reference's routing exactly. On success the outputs of `delta` are set
+/// as that replay would set them, plus member_skipped; on failure they are
+/// left untouched.
+[[nodiscard]] bool certify_delta_member(const NocTopology& ref_topo,
+                                        const std::vector<floorplan::Point>& ring,
+                                        double ring_freq_hz,
                                         const soc::SocSpec& spec,
                                         const RouterOptions& options,
                                         DeltaRouteState& delta);

@@ -162,8 +162,9 @@ struct SynthesisStats {
   /// routes replayed without a Dijkstra (`delta_flows_reused`) and flows
   /// routed live because the config diff could affect them
   /// (`delta_flows_rerouted`). `delta_members_skipped` counts members
-  /// proven identical to their reference before routing, whose outcome is
-  /// a copy of the reference's (their non-trivial flows count as reused).
+  /// proven identical to their reference before being built, whose
+  /// outcome shares the reference's (their non-trivial flows count as
+  /// reused).
   int delta_candidates = 0;
   long long delta_flows_reused = 0;
   long long delta_flows_rerouted = 0;

@@ -33,9 +33,26 @@ bool has_cross_island_flows(const soc::SocSpec& spec) {
   return false;
 }
 
+/// Initial positions of `k_int` intermediate switches: spread on a small
+/// ring around the chip centre so several do not collapse onto the same
+/// point (their positions are refined after routing).
+std::vector<floorplan::Point> ring_positions(const floorplan::Floorplan& fp,
+                                             int k_int) {
+  const floorplan::Point center{fp.chip_width_mm() / 2.0, fp.chip_height_mm() / 2.0};
+  const double ring = std::min(fp.chip_width_mm(), fp.chip_height_mm()) / 6.0;
+  std::vector<floorplan::Point> pts;
+  for (int k = 0; k < k_int; ++k) {
+    const double angle = 2.0 * 3.14159265358979323846 * k / std::max(k_int, 1);
+    pts.push_back(fp.clamp_to_island(
+        {center.x_mm + ring * std::cos(angle), center.y_mm + ring * std::sin(angle)},
+        kIntermediateIsland));
+  }
+  return pts;
+}
+
 /// Builds the switch set for one configuration: one switch per partition
 /// block at the traffic-weighted centroid of its cores, plus `k_int`
-/// intermediate switches around the chip centre.
+/// intermediate switches at ring_positions().
 void build_switches(NocTopology& topo, const EvalContext& ctx,
                     const std::vector<const IslandPartition*>& parts, int k_int,
                     EvalScratch* scratch) {
@@ -77,19 +94,11 @@ void build_switches(NocTopology& topo, const EvalContext& ctx,
     }
   }
 
-  // Intermediate switches: spread on a small ring around the chip centre so
-  // multiple indirect switches do not collapse onto the same point (their
-  // positions are refined after routing).
-  const floorplan::Point center{fp.chip_width_mm() / 2.0, fp.chip_height_mm() / 2.0};
-  const double ring = std::min(fp.chip_width_mm(), fp.chip_height_mm()) / 6.0;
-  for (int k = 0; k < k_int; ++k) {
+  for (const floorplan::Point& pos : ring_positions(fp, k_int)) {
     SwitchInst sw;
     sw.island = kIntermediateIsland;
     sw.freq_hz = ctx.intermediate_params.freq_hz;
-    const double angle = 2.0 * 3.14159265358979323846 * k / std::max(k_int, 1);
-    sw.pos = fp.clamp_to_island(
-        {center.x_mm + ring * std::cos(angle), center.y_mm + ring * std::sin(angle)},
-        kIntermediateIsland);
+    sw.pos = pos;
     topo.switches.push_back(std::move(sw));
   }
 
@@ -489,6 +498,49 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
   out.point.switches_per_island = cand.switches_per_island;
   out.point.intermediate_switches = cand.intermediate_switches;
 
+  RouterOptions ropts;
+  ropts.alpha_power = ctx.options.alpha_power;
+  ropts.link_width_bits = ctx.options.link_width_bits;
+  ropts.tech = ctx.options.tech;
+  ropts.enforce_wire_timing = ctx.options.enforce_wire_timing;
+  ropts.flow_order = ctx.flow_order;
+
+  // Whole-member skip, decided before anything is built. The member's
+  // island switches are its reference's, and its ring switches add +0.0 to
+  // the pre-routing power floor and nothing to the latency floors, so its
+  // own checkpoint is the reference's: the prune check below is the one
+  // the build path would make. A member proven to replay every flow then
+  // routes, compacts and measures exactly like the reference, so it shares
+  // the reference's published outcome; the merge copies the design only
+  // if it saves it. Anything else falls through to the build path.
+  const DeltaReference* ref = delta != nullptr ? delta->ref : nullptr;
+  if (ref != nullptr && ref->outcome != nullptr && cand.intermediate_switches > 0 &&
+      (bound == nullptr || !std::isnan(ref->base_power_lb_w))) {
+    if (bound != nullptr &&
+        bound->dominated(ref->base_power_lb_w, ref->base_latency_lb_cycles)) {
+      out.status = EvalStatus::kPruned;
+      out.pruned_power_lb_w = ref->base_power_lb_w;
+      out.pruned_latency_lb_cycles = ref->base_latency_lb_cycles;
+      return out;
+    }
+    const CandidateOutcome& lead = *ref->outcome;
+    if (certify_delta_member(lead.point.topology,
+                             ring_positions(ctx.floorplan, cand.intermediate_switches),
+                             ctx.intermediate_params.freq_hz, ctx.spec, ropts,
+                             *delta)) {
+      out.status = lead.status;
+      out.deadlock_free = lead.deadlock_free;
+      out.point.intermediate_switches = lead.point.intermediate_switches;
+      out.point.metrics = lead.point.metrics;
+      if (bound != nullptr) {
+        out.pruned_power_lb_w = ref->base_power_lb_w;
+        out.pruned_latency_lb_cycles = ref->base_latency_lb_cycles;
+      }
+      out.shared = ref->outcome;
+      return out;
+    }
+  }
+
   std::vector<const IslandPartition*> parts(cand.switches_per_island.size());
   for (std::size_t isl = 0; isl < parts.size(); ++isl) {
     parts[isl] = &ctx.partitions.at(
@@ -520,6 +572,10 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     const double n_flows = static_cast<double>(ctx.spec.flows.size());
     base_avg_lat =
         ctx.spec.flows.empty() ? 0.0 : base.latency_sum_cycles / n_flows;
+    if (delta_record != nullptr) {
+      delta_record->base_power_lb_w = base.power_w;
+      delta_record->base_latency_lb_cycles = base_avg_lat;
+    }
     if (bound->dominated(base.power_w, base_avg_lat)) {
       out.status = EvalStatus::kPruned;
       out.pruned_power_lb_w = base.power_w;
@@ -533,12 +589,6 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     rbound.switch_ebit_floor = &ebit_floor;
   }
 
-  RouterOptions ropts;
-  ropts.alpha_power = ctx.options.alpha_power;
-  ropts.link_width_bits = ctx.options.link_width_bits;
-  ropts.tech = ctx.options.tech;
-  ropts.enforce_wire_timing = ctx.options.enforce_wire_timing;
-  ropts.flow_order = ctx.flow_order;
   ropts.max_ports.resize(out.point.topology.switches.size());
   for (std::size_t s = 0; s < out.point.topology.switches.size(); ++s) {
     const soc::IslandId isl = out.point.topology.switches[s].island;
@@ -546,20 +596,6 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
         isl == kIntermediateIsland
             ? ctx.intermediate_params.max_sw_size
             : ctx.island_params[static_cast<std::size_t>(isl)].max_sw_size;
-  }
-
-  // Whole-member skip: a member proven to replay every flow of its
-  // reference routes, compacts and measures exactly like it, so its outcome
-  // IS the reference's, except for its own pre-routing bound checkpoint
-  // (the only one of its pass 1, which is fallback-gated because the
-  // member has intermediate switches).
-  if (delta != nullptr && delta->ref != nullptr &&
-      delta->ref->outcome != nullptr && cand.intermediate_switches > 0 &&
-      certify_delta_member(out.point.topology, ctx.spec, ropts, *delta)) {
-    CandidateOutcome skipped = *delta->ref->outcome;
-    skipped.pruned_power_lb_w = bound != nullptr ? rbound.base_power_lb_w : 0.0;
-    skipped.pruned_latency_lb_cycles = bound != nullptr ? base_avg_lat : 0.0;
-    return skipped;
   }
 
   route_and_finish(ctx, out, ropts, scratch, bound != nullptr ? &rbound : nullptr,
@@ -639,7 +675,13 @@ void OutcomeMerger::add(CandidateOutcome&& out) {
     return;
   }
   ++result_.stats.configs_routed;
-  if (!seen_designs_.insert(std::move(out.signature)).second) {
+  // A skipped member's signature and design live in its reference's shared
+  // outcome: look the signature up there (copied only when new) and copy
+  // the design only when it is saved.
+  const bool fresh = out.shared != nullptr
+                         ? seen_designs_.insert(out.shared->signature).second
+                         : seen_designs_.insert(std::move(out.signature)).second;
+  if (!fresh) {
     ++result_.stats.rejected_duplicate;
     return;
   }
@@ -652,7 +694,11 @@ void OutcomeMerger::add(CandidateOutcome&& out) {
     merge_bound_.insert(out.point.metrics.noc_dynamic_w,
                         out.point.metrics.avg_latency_cycles);
   }
-  result_.points.push_back(std::move(out.point));
+  if (out.shared != nullptr) {
+    result_.points.push_back(out.shared->point);
+  } else {
+    result_.points.push_back(std::move(out.point));
+  }
 }
 
 void OutcomeMerger::finish() {

@@ -115,9 +115,11 @@ struct CostCoeffs {
 /// Power normalizer of the link cost: opening a "typical" link (quarter-chip
 /// wire at the design's peak flow bandwidth, with a FIFO). It reads every
 /// switch position, intermediates included, which is why delta replay is
-/// gated on it being bit-equal to the reference's.
-double power_normalizer(const NocTopology& topo, const soc::SocSpec& spec,
-                        const models::Technology& tech) {
+/// gated on it being bit-equal to the reference's. `ring` lists switch
+/// positions not (yet) in `topo`; the maximum does not depend on the order.
+double power_normalizer(const NocTopology& topo,
+                        const std::vector<floorplan::Point>& ring,
+                        const soc::SocSpec& spec, const models::Technology& tech) {
   double max_bw = 0.0;
   double max_span = 0.0;
   for (const soc::Flow& f : spec.flows) {
@@ -125,6 +127,9 @@ double power_normalizer(const NocTopology& topo, const soc::SocSpec& spec,
   }
   for (const SwitchInst& s : topo.switches) {
     max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
+  }
+  for (const floorplan::Point& p : ring) {
+    max_span = std::max({max_span, p.x_mm, p.y_mm});
   }
   const double ref_len = std::max(0.5, max_span / 2.0);
   const double p_norm =
@@ -174,7 +179,10 @@ constexpr double kCrossBoundMargin = 1e-12;
 /// predecessor: the live Dijkstra picks the recorded hops, the same
 /// reuse-vs-open choices and the same tie order (see README). The bound
 /// reads only the UNROUTED topology, so one instance serves a whole pass,
-/// at O(k_int) per flow.
+/// at O(k_int) per flow. The ring is `topo`'s VI switches followed by
+/// `ring`: positions of core-less VI switches at `ring_freq_hz` that are not
+/// in `topo`, which is how a member is certified from its reference's
+/// topology without being built (the Router passes none).
 struct CrossIslandBound {
   std::size_t n_ring = 0;
   /// M(u, w) per switch u and VI switch w, switches x n_ring.
@@ -193,7 +201,9 @@ struct CrossIslandBound {
   double hop_lat_cross = 0.0;
 
   CrossIslandBound() = default;
-  CrossIslandBound(const NocTopology& topo, std::size_t n_isl,
+  CrossIslandBound(const NocTopology& topo,
+                   const std::vector<floorplan::Point>& ring,
+                   double ring_freq_hz, std::size_t n_isl,
                    const RouterOptions& opts, const CostCoeffs& k,
                    double p_norm)
       : n_islands(n_isl),
@@ -201,11 +211,12 @@ struct CrossIslandBound {
         link_dyn(k.link_dyn),
         alpha(opts.alpha_power),
         hop_lat_cross(k.hop_lat_cross) {
-    std::vector<floorplan::Point> ring;
+    std::vector<floorplan::Point> ring_pos;
     for (const SwitchInst& w : topo.switches) {
-      if (w.island == kIntermediateIsland) ring.push_back(w.pos);
+      if (w.island == kIntermediateIsland) ring_pos.push_back(w.pos);
     }
-    const std::size_t nr = ring.size();
+    ring_pos.insert(ring_pos.end(), ring.begin(), ring.end());
+    const std::size_t nr = ring_pos.size();
     n_ring = nr;
     ring_len.assign(topo.switches.size() * nr, kInf);
     // Per island (the VI in slot n_isl): minimum frequency and core-only
@@ -213,6 +224,10 @@ struct CrossIslandBound {
     std::vector<double> freq_min(n_isl + 1, kInf);
     std::vector<double> ebit_min(n_isl + 1, kInf);
     std::vector<double> minlen(n_isl * nr, kInf);
+    if (!ring.empty()) {
+      freq_min[n_isl] = ring_freq_hz;
+      ebit_min[n_isl] = k.ebit(0);
+    }
     for (std::size_t u = 0; u < topo.switches.size(); ++u) {
       const SwitchInst& sw = topo.switches[u];
       const std::size_t i = sw.island == kIntermediateIsland
@@ -224,7 +239,7 @@ struct CrossIslandBound {
           std::min(ebit_min[i], k.ebit(static_cast<int>(sw.cores.size())));
       if (i == n_isl) continue;
       for (std::size_t r = 0; r < nr; ++r) {
-        const double len = floorplan::manhattan_mm(sw.pos, ring[r]);
+        const double len = floorplan::manhattan_mm(sw.pos, ring_pos[r]);
         ring_len[u * nr + r] = len;
         minlen[i * nr + r] = std::min(minlen[i * nr + r], len);
       }
@@ -304,7 +319,7 @@ class Router {
       scratch_.ports_out[s] = scratch_.ports_in[s];
     }
     scratch_.link_at.assign(n_sw * n_sw, -1);
-    p_norm_ = power_normalizer(topo_, spec_, opts_.tech);
+    p_norm_ = power_normalizer(topo_, {}, spec_, opts_.tech);
 
     // Per-switch geometry hoisted out of the edge-cost inner loop.
     scratch_.max_wire_len.assign(n_sw, 0.0);
@@ -393,8 +408,8 @@ class Router {
         delta_->island_tainted.assign(spec.islands.size(), 0);
         cross_armed_ = !opts_.forbid_direct_cross;
         if (cross_armed_) {
-          cross_bound_ = CrossIslandBound(topo_, spec.islands.size(), opts_, k_,
-                                          p_norm_);
+          cross_bound_ = CrossIslandBound(topo_, {}, 0.0, spec.islands.size(),
+                                          opts_, k_, p_norm_);
         }
       }
     }
@@ -1199,18 +1214,19 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   return second;
 }
 
-bool certify_delta_member(const NocTopology& topo, const soc::SocSpec& spec,
+bool certify_delta_member(const NocTopology& ref_topo,
+                          const std::vector<floorplan::Point>& ring,
+                          double ring_freq_hz, const soc::SocSpec& spec,
                           const RouterOptions& options, DeltaRouteState& delta) {
   const DeltaReference* ref = delta.ref;
   if (ref == nullptr || !ref->valid || options.forbid_direct_cross ||
-      ref->records.size() != spec.flows.size() ||
-      options.max_ports.size() != topo.switches.size()) {
+      ref->records.size() != spec.flows.size()) {
     return false;
   }
-  const double p_norm = power_normalizer(topo, spec, options.tech);
+  const double p_norm = power_normalizer(ref_topo, ring, spec, options.tech);
   if (p_norm != ref->p_norm) return false;
-  const CrossIslandBound bound(topo, spec.islands.size(), options,
-                               CostCoeffs(options.tech), p_norm);
+  const CrossIslandBound bound(ref_topo, ring, ring_freq_hz, spec.islands.size(),
+                               options, CostCoeffs(options.tech), p_norm);
   std::vector<std::size_t> local_order;
   const std::vector<std::size_t>* order = options.flow_order;
   if (order == nullptr) {
@@ -1222,8 +1238,8 @@ bool certify_delta_member(const NocTopology& topo, const soc::SocSpec& spec,
   int replayed = 0;
   for (std::size_t pos = 0; pos < order->size(); ++pos) {
     const soc::Flow& flow = spec.flows[(*order)[pos]];
-    const int s_sw = topo.switch_of_core[static_cast<std::size_t>(flow.src)];
-    const int d_sw = topo.switch_of_core[static_cast<std::size_t>(flow.dst)];
+    const int s_sw = ref_topo.switch_of_core[static_cast<std::size_t>(flow.src)];
+    const int d_sw = ref_topo.switch_of_core[static_cast<std::size_t>(flow.dst)];
     if (s_sw == d_sw) {
       continue;  // trivial: routed live and uncounted by the replay too
     }

@@ -1,17 +1,23 @@
 // Candidate-level delta evaluation: bit-identity of the config-diff replay
 // path against from-scratch evaluation (threads x prune x deterministic_prune
-// on seed benchmarks and synthetic multi-island specs), reuse-counter
-// sanity at threads == 1 (the reference always precedes its members), the
-// pinned d64/l2 outcome ledger and skip count, the d64/l4 fine sweep's
-// ledger with every member skipped, the cross-island
-// certificate's miss path, and composition with the width sweep on both the
-// default and fine width grids. Both sides of these comparisons share the
-// engine's router; test_reference checks delta-on results against the
-// independent Algorithm 1 oracle instead.
+// on seed benchmarks and synthetic multi-island specs), with every saved
+// point compared field by field on d64 (result_fingerprint hashes only part
+// of a topology, and skipped members' points are copied from a shared
+// outcome), reuse-counter sanity at threads == 1 (the reference always
+// precedes its members), the pinned d64/l2 outcome ledger and skip count,
+// skipped members' bound checkpoints, the d64/l4 fine sweep's ledger with
+// every member skipped, the cross-island certificate's miss path, and
+// composition with the width sweep on both the default and fine width
+// grids. Both sides of these comparisons share the engine's router;
+// test_reference checks delta-on results against the independent
+// Algorithm 1 oracle instead.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "vinoc/campaign/spec_hash.hpp"
@@ -38,6 +44,128 @@ std::uint64_t fp(const SynthesisResult& r) {
 /// Members of d64 / 2 logical islands (partition_seed 1, threads 1) proven
 /// identical to their reference before routing.
 constexpr int kD64L2Skips = 1118;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every field of two designs, doubles bit for bit (callers name the design
+/// with SCOPED_TRACE).
+void expect_same_design(const DesignPoint& a, const DesignPoint& b) {
+  EXPECT_EQ(a.switches_per_island, b.switches_per_island);
+  EXPECT_EQ(a.intermediate_switches, b.intermediate_switches);
+  const NocTopology& ta = a.topology;
+  const NocTopology& tb = b.topology;
+  EXPECT_EQ(ta.switch_of_core, tb.switch_of_core);
+  ASSERT_EQ(ta.switches.size(), tb.switches.size());
+  for (std::size_t s = 0; s < ta.switches.size(); ++s) {
+    const SwitchInst& x = ta.switches[s];
+    const SwitchInst& y = tb.switches[s];
+    EXPECT_EQ(x.island, y.island) << "switch " << s;
+    EXPECT_EQ(bits(x.freq_hz), bits(y.freq_hz)) << "switch " << s;
+    EXPECT_EQ(bits(x.pos.x_mm), bits(y.pos.x_mm)) << "switch " << s;
+    EXPECT_EQ(bits(x.pos.y_mm), bits(y.pos.y_mm)) << "switch " << s;
+    EXPECT_EQ(x.cores, y.cores) << "switch " << s;
+  }
+  ASSERT_EQ(ta.links.size(), tb.links.size());
+  for (std::size_t l = 0; l < ta.links.size(); ++l) {
+    const TopLink& x = ta.links[l];
+    const TopLink& y = tb.links[l];
+    EXPECT_EQ(x.src_switch, y.src_switch) << "link " << l;
+    EXPECT_EQ(x.dst_switch, y.dst_switch) << "link " << l;
+    EXPECT_EQ(x.crosses_island, y.crosses_island) << "link " << l;
+    EXPECT_EQ(bits(x.length_mm), bits(y.length_mm)) << "link " << l;
+    EXPECT_EQ(bits(x.carried_bw_bits_per_s), bits(y.carried_bw_bits_per_s))
+        << "link " << l;
+    EXPECT_EQ(x.flows, y.flows) << "link " << l;
+  }
+  ASSERT_EQ(ta.routes.size(), tb.routes.size());
+  for (std::size_t f = 0; f < ta.routes.size(); ++f) {
+    const FlowRoute& x = ta.routes[f];
+    const FlowRoute& y = tb.routes[f];
+    EXPECT_EQ(x.src_switch, y.src_switch) << "route " << f;
+    EXPECT_EQ(x.dst_switch, y.dst_switch) << "route " << f;
+    EXPECT_EQ(x.links, y.links) << "route " << f;
+    EXPECT_EQ(bits(x.latency_cycles), bits(y.latency_cycles)) << "route " << f;
+    EXPECT_EQ(x.crossings, y.crossings) << "route " << f;
+  }
+  ASSERT_EQ(ta.ni_wire_mm.size(), tb.ni_wire_mm.size());
+  for (std::size_t c = 0; c < ta.ni_wire_mm.size(); ++c) {
+    EXPECT_EQ(bits(ta.ni_wire_mm[c]), bits(tb.ni_wire_mm[c])) << "core " << c;
+  }
+  ASSERT_EQ(ta.island_freq_hz.size(), tb.island_freq_hz.size());
+  for (std::size_t i = 0; i < ta.island_freq_hz.size(); ++i) {
+    EXPECT_EQ(bits(ta.island_freq_hz[i]), bits(tb.island_freq_hz[i]));
+  }
+  EXPECT_EQ(bits(ta.intermediate_freq_hz), bits(tb.intermediate_freq_hz));
+  const Metrics& ma = a.metrics;
+  const Metrics& mb = b.metrics;
+  for (const auto& [name, x, y] :
+       {std::tuple{"noc_dynamic_w", ma.noc_dynamic_w, mb.noc_dynamic_w},
+        std::tuple{"switch_dynamic_w", ma.switch_dynamic_w, mb.switch_dynamic_w},
+        std::tuple{"link_dynamic_w", ma.link_dynamic_w, mb.link_dynamic_w},
+        std::tuple{"ni_dynamic_w", ma.ni_dynamic_w, mb.ni_dynamic_w},
+        std::tuple{"fifo_dynamic_w", ma.fifo_dynamic_w, mb.fifo_dynamic_w},
+        std::tuple{"noc_leakage_w", ma.noc_leakage_w, mb.noc_leakage_w},
+        std::tuple{"noc_area_mm2", ma.noc_area_mm2, mb.noc_area_mm2},
+        std::tuple{"avg_latency_cycles", ma.avg_latency_cycles, mb.avg_latency_cycles},
+        std::tuple{"max_latency_cycles", ma.max_latency_cycles, mb.max_latency_cycles},
+        std::tuple{"total_wire_mm", ma.total_wire_mm, mb.total_wire_mm}}) {
+    EXPECT_EQ(bits(x), bits(y)) << "metrics." << name;
+  }
+  EXPECT_EQ(ma.switch_count, mb.switch_count);
+  EXPECT_EQ(ma.link_count, mb.link_count);
+  EXPECT_EQ(ma.fifo_count, mb.fifo_count);
+  EXPECT_EQ(ma.max_switch_ports, mb.max_switch_ports);
+}
+
+/// Fingerprint, Pareto indices and every saved point, field by field.
+void expect_same_result(const SynthesisResult& a, const SynthesisResult& b) {
+  EXPECT_EQ(fp(a), fp(b));
+  EXPECT_EQ(a.pareto, b.pareto);
+  ASSERT_EQ(a.points.size(), b.points.size());
+  for (std::size_t p = 0; p < a.points.size(); ++p) {
+    SCOPED_TRACE(testing::Message() << "point " << p);
+    expect_same_design(a.points[p], b.points[p]);
+  }
+}
+
+/// synthesize()'s evaluation-stage inputs for one width, built through the
+/// public API (threads 1), for tests that drive evaluate_candidate with the
+/// engine's delta-group wiring.
+struct Stage {
+  explicit Stage(soc::SocSpec s)
+      : spec(std::move(s)),
+        plan(floorplan::Floorplan::build(spec, opt.floorplan)),
+        params(derive_island_params(spec, opt.tech, opt.link_width_bits,
+                                    opt.port_reserve)),
+        inter(derive_intermediate_params(params, opt.tech)),
+        cands(enumerate_candidates(spec, params, opt)),
+        parts([this] {
+          exec::ThreadPool pool(1);
+          return compute_partitions(spec, opt, params, cands, pool);
+        }()),
+        traffic(compute_core_traffic(spec)),
+        order(bandwidth_descending_order(spec)),
+        ctx{spec, plan, params, inter, parts, traffic, opt, &order,
+            compute_ni_dynamic_base_w(spec, opt.tech)} {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// First candidate of an enumeration group (the delta reference).
+  [[nodiscard]] bool leader(std::size_t i) const {
+    return i == 0 || cands[i].switches_per_island != cands[i - 1].switches_per_island;
+  }
+
+  soc::SocSpec spec;
+  SynthesisOptions opt;
+  floorplan::Floorplan plan;
+  std::vector<IslandNocParams> params;
+  IslandNocParams inter;
+  std::vector<CandidateConfig> cands;
+  PartitionTable parts;
+  std::vector<double> traffic;
+  std::vector<std::size_t> order;
+  EvalContext ctx;
+};
 
 TEST(DeltaEval, BitIdenticalToFromScratchForThreadsAndPrune) {
   for (const soc::SocSpec& spec :
@@ -84,22 +212,25 @@ TEST(DeltaEval, DeterministicPruneOffStaysBitIdentical) {
 TEST(DeltaEval, CrossCertificateBitIdenticalOnD64) {
   // The d64 configurations where the cross-island certificate and the
   // member skip do nearly all the work: delta on must reproduce delta off
-  // exactly for every thread count and pruning mode (at threads 4 members
-  // read published reference outcomes concurrently).
+  // exactly, every saved point field by field, for every thread count and
+  // pruning mode (at threads 4 members read published reference outcomes
+  // concurrently). With prune on, d64/l2 saves points from skipped members
+  // whose leader was itself pruned, copied from the leader's shared outcome.
   for (const int islands : {2, 4}) {
     const soc::SocSpec spec = islanded(soc::make_d64_tile_soc(), islands);
     for (const bool prune : {true, false}) {
       SynthesisOptions ref_opt;
       ref_opt.prune = prune;
       ref_opt.delta_eval = false;
-      const std::uint64_t ref = fp(synthesize(spec, ref_opt));
+      const SynthesisResult ref = synthesize(spec, ref_opt);
       for (const int threads : {1, 4}) {
         SynthesisOptions opt = ref_opt;
         opt.delta_eval = true;
         opt.threads = threads;
         const SynthesisResult r = synthesize(spec, opt);
-        EXPECT_EQ(fp(r), ref) << "l" << islands << " threads " << threads
-                              << " prune " << prune;
+        SCOPED_TRACE(testing::Message() << "l" << islands << " threads " << threads
+                                        << " prune " << prune);
+        expect_same_result(r, ref);
         if (threads == 1) {
           EXPECT_GT(r.stats.delta_members_skipped, 0);
         }
@@ -125,11 +256,84 @@ TEST(DeltaEval, D64TwoIslandLedgerAndSkipsArePinned) {
   EXPECT_EQ(r.stats.delta_members_skipped, kD64L2Skips);
 }
 
+TEST(DeltaEval, SkippedMembersCarryTheirOwnCheckpointAndDesign) {
+  // Drives the evaluation stage with synthesize()'s group wiring and the
+  // empty front synthesize() passes before any point is published. A
+  // skipped member builds nothing: its bound checkpoint comes from its
+  // reference and its design from the reference's shared outcome. Both must
+  // be bit-equal to a from-scratch evaluation of the member itself.
+  const Stage st(islanded(soc::make_d64_tile_soc(), 2));
+  const ParetoBound empty_bound;
+  EvalScratch scratch;
+  std::shared_ptr<DeltaReference> ref;
+  int skipped = 0;
+  for (std::size_t i = 0; i < st.cands.size(); ++i) {
+    if (st.leader(i)) {
+      ref = std::make_shared<DeltaReference>();
+      (void)evaluate_candidate(st.ctx, st.cands[i], &scratch, &empty_bound, ref.get());
+      continue;
+    }
+    scratch.delta.ref = ref.get();
+    const CandidateOutcome out = evaluate_candidate(st.ctx, st.cands[i], &scratch,
+                                                    &empty_bound, nullptr, &scratch.delta);
+    if (!scratch.delta.member_skipped) continue;
+    ++skipped;
+    SCOPED_TRACE(testing::Message() << "candidate " << i);
+    const CandidateOutcome solo =
+        evaluate_candidate(st.ctx, st.cands[i], nullptr, &empty_bound);
+    EXPECT_EQ(bits(out.pruned_power_lb_w), bits(solo.pruned_power_lb_w));
+    EXPECT_EQ(bits(out.pruned_latency_lb_cycles), bits(solo.pruned_latency_lb_cycles));
+    EXPECT_EQ(out.status, solo.status);
+    EXPECT_EQ(out.deadlock_free, solo.deadlock_free);
+    ASSERT_NE(out.shared, nullptr);
+    EXPECT_EQ(out.shared.get(), ref->outcome.get());
+    EXPECT_EQ(out.shared->signature, solo.signature);
+    // The top-level fields callers read without following `shared`.
+    EXPECT_EQ(out.point.switches_per_island, solo.point.switches_per_island);
+    EXPECT_EQ(out.point.intermediate_switches, solo.point.intermediate_switches);
+    EXPECT_EQ(bits(out.point.metrics.noc_dynamic_w),
+              bits(solo.point.metrics.noc_dynamic_w));
+    EXPECT_EQ(bits(out.point.metrics.avg_latency_cycles),
+              bits(solo.point.metrics.avg_latency_cycles));
+    expect_same_design(out.shared->point, solo.point);
+  }
+  EXPECT_EQ(skipped, kD64L2Skips);
+}
+
+TEST(DeltaEval, FineSweepSavedPointsMatchDeltaOffFieldByField) {
+  // Every saved point of the d64/l4 fine sweep comes from a width whose
+  // members were all skipped; delta on must still save the same designs,
+  // field by field, at one thread and at four.
+  const soc::SocSpec spec = islanded(soc::make_d64_tile_soc(), 4);
+  const std::vector<int> widths = {128, 160, 192, 256};
+  SynthesisOptions ref_opt;
+  ref_opt.partition_seed = 1;
+  ref_opt.delta_eval = false;
+  // Four threads only shorten the slow delta-off run (the sanitizer jobs
+  // run this test); results do not depend on the thread count.
+  ref_opt.threads = 4;
+  const WidthSweepResult ref = explore_link_widths(spec, widths, ref_opt);
+  for (const int threads : {1, 4}) {
+    SynthesisOptions opt = ref_opt;
+    opt.delta_eval = true;
+    opt.threads = threads;
+    const WidthSweepResult sweep = explore_link_widths(spec, widths, opt);
+    ASSERT_EQ(sweep.entries.size(), ref.entries.size());
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+      ASSERT_TRUE(ref.entries[i].feasible) << "width " << widths[i];
+      ASSERT_TRUE(sweep.entries[i].feasible) << "width " << widths[i];
+      SCOPED_TRACE(testing::Message() << "width " << widths[i] << " threads "
+                                      << threads);
+      expect_same_result(sweep.entries[i].result, ref.entries[i].result);
+    }
+  }
+}
+
 TEST(DeltaEval, D64FourIslandFineSweepSkipsEveryMember) {
   // At wide widths the router leaves the offered intermediate ring unused,
   // and the per-flow cross-island bound proves it before routing: every
-  // delta member of the fine sweep copies its reference, and no flow
-  // routes live. The ledger must not move.
+  // delta member of the fine sweep shares its reference's outcome, and no
+  // flow routes live. The ledger must not move.
   const soc::SocSpec spec = islanded(soc::make_d64_tile_soc(), 4);
   SynthesisOptions opt;
   opt.threads = 1;
@@ -163,19 +367,11 @@ TEST(DeltaEval, CrossCertificateMissesRouteLive) {
   // from-scratch evaluation. Then a miss is forced on a member that would
   // otherwise be skipped: exactly that flow routes live, reproduces the
   // record (so nothing taints) and everything else still replays.
-  const soc::SocSpec spec = islanded(soc::make_d64_tile_soc(), 2);
-  SynthesisOptions opt;
-  opt.threads = 1;
-  const floorplan::Floorplan plan = floorplan::Floorplan::build(spec, opt.floorplan);
-  const std::vector<IslandNocParams> params = derive_island_params(
-      spec, opt.tech, opt.link_width_bits, opt.port_reserve);
-  const IslandNocParams inter = derive_intermediate_params(params, opt.tech);
-  const std::vector<CandidateConfig> cands = enumerate_candidates(spec, params, opt);
-  exec::ThreadPool pool(1);
-  const PartitionTable parts = compute_partitions(spec, opt, params, cands, pool);
-  const std::vector<double> traffic = compute_core_traffic(spec);
-  const std::vector<std::size_t> order = bandwidth_descending_order(spec);
-  const EvalContext ctx{spec, plan, params, inter, parts, traffic, opt, &order, 0.0};
+  const Stage st(islanded(soc::make_d64_tile_soc(), 2));
+  const soc::SocSpec& spec = st.spec;
+  const std::vector<CandidateConfig>& cands = st.cands;
+  const std::vector<std::size_t>& order = st.order;
+  const EvalContext& ctx = st.ctx;
 
   auto expect_same = [&](const CandidateOutcome& out, std::size_t i) {
     const CandidateOutcome solo = evaluate_candidate(ctx, cands[i]);
@@ -192,7 +388,7 @@ TEST(DeltaEval, CrossCertificateMissesRouteLive) {
   std::size_t skip_member = 0;
   int partial = 0;
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    if (i == 0 || cands[i].switches_per_island != cands[i - 1].switches_per_island) {
+    if (st.leader(i)) {
       ref = std::make_shared<DeltaReference>();
       (void)evaluate_candidate(ctx, cands[i], &scratch, nullptr, ref.get());
       continue;
