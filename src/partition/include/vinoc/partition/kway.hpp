@@ -13,6 +13,19 @@
 //
 // All routines operate on the undirected coalesced view of the input graph
 // and are deterministic for a fixed seed.
+//
+// kway_mincut() is pinned bit for bit to the seed's partitioner, vendored
+// as vinoc::reference::kway_mincut in tests/reference/: for every input it
+// returns the same block_of, the same cut_weight bits and the same
+// feasible (tests/test_reference.cpp diffs the two on every benchmark
+// problem and on random graphs). It coalesces the graph once per call and
+// only skips work whose result it already knows exactly: a bisection
+// restart that grows the same start as an earlier one, an FM pass with no
+// legal move, and a block pair whose FM moved nothing while neither block
+// has changed since. It does NOT skip block pairs that share no edge:
+// with no cut between them the skip is exact in real arithmetic, but FM
+// can count rounding noise above its 1e-12 threshold as a gain there, and
+// on random graphs with large weights the skip changed results.
 #pragma once
 
 #include <cstddef>

@@ -7,10 +7,10 @@
 #include <set>
 #include <stdexcept>
 
+#include "partition.hpp"
 #include "routing.hpp"
 #include "vinoc/core/deadlock.hpp"
 #include "vinoc/core/vcg.hpp"
-#include "vinoc/partition/kway.hpp"
 
 namespace vinoc::reference {
 
@@ -54,7 +54,7 @@ class PartitionCache {
           params_[static_cast<std::size_t>(island)].max_sw_size - opts_.port_reserve;
       kopts.max_block_size = static_cast<std::size_t>(std::max(max_size, 1));
       kopts.seed = opts_.partition_seed;
-      const partition::PartitionResult res = partition::kway_mincut(vcg, kopts);
+      const partition::PartitionResult res = reference::kway_mincut(vcg, kopts);
       for (std::size_t i = 0; i < cores.size(); ++i) {
         part.blocks[static_cast<std::size_t>(res.block_of[i])].push_back(cores[i]);
       }

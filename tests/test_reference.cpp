@@ -17,11 +17,21 @@
 //
 // The oracle runs are the slow part (seconds each on d64), so they are
 // computed once, four at a time, before the first comparison.
+//
+// The engine's min-cut partitioner is diffed against the oracle's (the
+// seed's kway_mincut) on its own: every distinct partition problem the
+// benchmark inputs issue, plus seeded random graphs, must give the same
+// blocks, the same cut bits and the same feasibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,8 +39,13 @@
 #include <vector>
 
 #include "reference/algorithm1.hpp"
+#include "reference/partition.hpp"
+#include "vinoc/core/candidates.hpp"
 #include "vinoc/core/explore.hpp"
+#include "vinoc/core/frequency.hpp"
 #include "vinoc/core/synthesis.hpp"
+#include "vinoc/core/vcg.hpp"
+#include "vinoc/partition/kway.hpp"
 #include "vinoc/soc/benchmarks.hpp"
 #include "vinoc/soc/islanding.hpp"
 
@@ -257,6 +272,197 @@ TEST(ReferenceSweep, D26L4EntriesMatchPerWidthOracle) {
   }
   EXPECT_FALSE(oracle_runs()[first].error.empty())
       << "width 16 should be infeasible on d26/l4";
+}
+
+// --- Partitioner ----------------------------------------------------------
+
+/// One min-cut problem: a graph and the options it is partitioned with.
+struct PartitionProblem {
+  std::string where;
+  graph::Digraph graph;
+  partition::KwayOptions options;
+};
+
+/// Appends every distinct (island, switch count, block cap) problem that
+/// synthesizing `spec` at each of `widths` asks the partitioner, once per
+/// partition seed 1-4. Infeasible widths issue none.
+void add_synthesis_problems(const std::string& name, const soc::SocSpec& spec,
+                            const std::vector<int>& widths,
+                            std::vector<PartitionProblem>& out) {
+  const core::VcgScaling scaling = core::vcg_scaling(spec);
+  std::set<std::tuple<int, int, std::size_t>> seen;
+  for (const int width : widths) {
+    const core::SynthesisOptions opt = options_at(width);
+    const std::vector<core::IslandNocParams> params =
+        core::derive_island_params(spec, opt.tech, width, opt.port_reserve);
+    if (std::any_of(params.begin(), params.end(), [](const core::IslandNocParams& p) {
+          return p.core_count > 0 && p.max_sw_size == 0;
+        })) {
+      continue;
+    }
+    for (const core::CandidateConfig& cand : core::enumerate_candidates(spec, params, opt)) {
+      for (std::size_t isl = 0; isl < cand.switches_per_island.size(); ++isl) {
+        if (params[isl].core_count == 0) continue;
+        const int k = cand.switches_per_island[isl];
+        const auto cap = static_cast<std::size_t>(
+            std::max(params[isl].max_sw_size - opt.port_reserve, 1));
+        if (!seen.emplace(static_cast<int>(isl), k, cap).second) continue;
+        const graph::Digraph vcg =
+            core::build_vcg(spec, static_cast<soc::IslandId>(isl), opt.alpha, scaling);
+        for (unsigned seed = 1; seed <= 4; ++seed) {
+          partition::KwayOptions kopts;
+          kopts.blocks = k;
+          kopts.max_block_size = cap;
+          kopts.seed = seed;
+          out.push_back({name + " island " + std::to_string(isl) + " k " +
+                             std::to_string(k) + " cap " + std::to_string(cap) +
+                             " seed " + std::to_string(seed),
+                         vcg, kopts});
+        }
+      }
+    }
+  }
+}
+
+/// The problems of the benchmark inputs: d26 and d64 at several island
+/// counts and widths, and the campaign-mix synthetic SoCs.
+std::vector<PartitionProblem> benchmark_problems() {
+  std::vector<PartitionProblem> out;
+  const soc::Benchmark d26 = soc::make_d26_media_soc();
+  const soc::Benchmark d64 = soc::make_d64_tile_soc();
+  for (int islands = 2; islands <= 6; ++islands) {
+    add_synthesis_problems("d26_l" + std::to_string(islands), logical(d26, islands),
+                           {16, 32, 64, 128}, out);
+  }
+  for (const int islands : {2, 4, 6}) {
+    add_synthesis_problems("d64_l" + std::to_string(islands), logical(d64, islands),
+                           {32, 64, 128, 256}, out);
+  }
+  const auto add_synthetic = [&](int cores, int hubs, unsigned seed, int perturbations) {
+    soc::SyntheticParams params;
+    params.cores = cores;
+    params.hubs = hubs;
+    params.seed = seed;
+    for (int v = 0; v <= perturbations; ++v) {
+      const soc::Benchmark b = soc::make_synthetic_soc(
+          soc::perturb_synthetic_params(params, static_cast<unsigned>(v)));
+      const std::string base = "syn" + std::to_string(cores) + "_h" +
+                               std::to_string(hubs) + "_p" + std::to_string(v);
+      for (const int islands : {2, 3}) {
+        const std::string l = "_l" + std::to_string(islands);
+        add_synthesis_problems(base + "_logical" + l,
+                               soc::with_logical_islands(b.soc, islands, b.use_cases),
+                               {32, 64}, out);
+        add_synthesis_problems(base + "_comm" + l,
+                               soc::with_communication_islands(b.soc, islands, b.use_cases),
+                               {32, 64}, out);
+      }
+    }
+  };
+  add_synthetic(24, 3, 1, 7);
+  add_synthetic(36, 4, 5, 3);
+  return out;
+}
+
+/// Seeded random graphs covering the corners the benchmark inputs do not:
+/// self loops, parallel and antiparallel edges, zero weights, weights up to
+/// ~1e9, no cap or a tight one, and every block count from 1 to n.
+std::vector<PartitionProblem> random_problems(std::size_t count) {
+  std::vector<PartitionProblem> out;
+  out.reserve(count);
+  std::mt19937 rng(20091);
+  const double scales[] = {1.0, 1e3, 1e6, 1e9};
+  for (std::size_t i = 0; i < count; ++i) {
+    const int n = std::uniform_int_distribution<int>(1, 40)(rng);
+    graph::Digraph g(static_cast<std::size_t>(n));
+    const double scale = scales[i % 4];
+    const int edges = std::uniform_int_distribution<int>(0, 3 * n)(rng);
+    std::uniform_int_distribution<int> node(0, n - 1);
+    std::uniform_real_distribution<double> weight(0.0, 1.0);
+    for (int e = 0; e < edges; ++e) {
+      const int a = node(rng);
+      const int b = node(rng);
+      const double w = rng() % 8 == 0 ? 0.0 : weight(rng) * scale;
+      g.add_edge(a, b, w);
+      if (rng() % 6 == 0) g.add_edge(rng() % 2 == 0 ? a : b, rng() % 2 == 0 ? a : b, w);
+    }
+    partition::KwayOptions kopts;
+    // Every block count up to n occurs, but pairwise refinement costs
+    // O(k^2) passes, so three graphs in four stay at k <= 8.
+    const int max_blocks = rng() % 4 == 0 ? n : std::min(n, 8);
+    kopts.blocks = std::uniform_int_distribution<int>(1, max_blocks)(rng);
+    const std::size_t tight = (static_cast<std::size_t>(n) +
+                               static_cast<std::size_t>(kopts.blocks) - 1) /
+                              static_cast<std::size_t>(kopts.blocks);
+    switch (rng() % 3) {
+      case 0: kopts.max_block_size = 0; break;
+      case 1: kopts.max_block_size = tight; break;
+      default: kopts.max_block_size = tight + rng() % 3; break;
+    }
+    kopts.seed = static_cast<unsigned>(rng() % 1000);
+    out.push_back({"random graph " + std::to_string(i) + " n " + std::to_string(n) +
+                       " k " + std::to_string(kopts.blocks),
+                   std::move(g), kopts});
+  }
+  return out;
+}
+
+/// Runs both partitioners on every problem, four threads at a time;
+/// returns the number that differ in blocks, cut bits or feasibility and
+/// reports the first few.
+std::size_t partition_mismatches(const std::vector<PartitionProblem>& problems,
+                                 bool require_feasible) {
+  struct Verdict {
+    bool same = false;
+    bool feasible = false;
+  };
+  std::vector<Verdict> verdicts(problems.size());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      for (std::size_t i; (i = next.fetch_add(1)) < problems.size();) {
+        const PartitionProblem& p = problems[i];
+        const partition::PartitionResult head = partition::kway_mincut(p.graph, p.options);
+        const partition::PartitionResult ref = reference::kway_mincut(p.graph, p.options);
+        verdicts[i].same = head.block_of == ref.block_of && head.blocks == ref.blocks &&
+                           std::bit_cast<std::uint64_t>(head.cut_weight) ==
+                               std::bit_cast<std::uint64_t>(ref.cut_weight) &&
+                           head.feasible == ref.feasible;
+        verdicts[i].feasible = ref.feasible;
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const PartitionProblem& p = problems[i];
+    if (!verdicts[i].same && ++mismatches <= 5) {
+      const partition::PartitionResult head = partition::kway_mincut(p.graph, p.options);
+      const partition::PartitionResult ref = reference::kway_mincut(p.graph, p.options);
+      ADD_FAILURE() << p.where << ": cut " << head.cut_weight << " vs oracle "
+                    << ref.cut_weight << ", feasible " << head.feasible << " vs "
+                    << ref.feasible;
+    }
+    if (require_feasible) {
+      EXPECT_TRUE(verdicts[i].feasible) << p.where;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ReferencePartition, BenchmarkProblemsMatchOracle) {
+  const std::vector<PartitionProblem> problems = benchmark_problems();
+  ASSERT_GT(problems.size(), 10000u);
+  EXPECT_EQ(partition_mismatches(problems, true), 0u)
+      << "of " << problems.size() << " problems";
+}
+
+TEST(ReferencePartition, RandomGraphsMatchOracle) {
+  const std::vector<PartitionProblem> problems = random_problems(20000);
+  EXPECT_EQ(partition_mismatches(problems, false), 0u)
+      << "of " << problems.size() << " problems";
 }
 
 }  // namespace
