@@ -8,7 +8,9 @@
 // build; the bench additionally asserts that every sweep entry's
 // result_fingerprint equals its per-width counterpart (exits non-zero on
 // mismatch — the speedup number is only meaningful if the results are
-// bit-identical).
+// bit-identical). It also exits non-zero unless the quick grid's delta
+// tallies, with pruning off, are the same at threads 1 and 4: one strand
+// evaluates each delta group, so replay must not depend on the schedule.
 //
 // One JSON line between the BEGIN/END JSONL markers; the perf-smoke job
 // feeds it to tools/bench_check against bench/baseline.json (the
@@ -127,10 +129,39 @@ AbResult timed_ab(bench::FatRunner& runner, const Case& c,
   return ab;
 }
 
+/// Untimed guardrail: the delta tallies (candidates, flows reused and
+/// rerouted, members skipped) of the quick grid with pruning off must not
+/// depend on the thread count, else the bench exits non-zero. Pruning is
+/// off because a pruned member counts no delta work and its prune decision
+/// reads a schedule-dependent bound snapshot.
+void check_delta_tallies_thread_independent() {
+  std::vector<std::vector<long long>> tallies;
+  for (const int threads : {1, 4}) {
+    core::SynthesisOptions options;
+    options.prune = false;
+    options.threads = threads;
+    std::vector<long long> t;
+    for (const Case& c : sweep_cases(true)) {
+      core::WidthSetStats st;
+      (void)core::explore_link_widths(c.spec, kWidths, options, &st);
+      t.insert(t.end(), {st.delta_candidates, st.delta_flows_reused,
+                         st.delta_flows_rerouted, st.delta_members_skipped});
+    }
+    tallies.push_back(std::move(t));
+  }
+  if (tallies[0] != tallies[1]) {
+    std::fprintf(stderr,
+                 "bench_width_sweep: DELTA TALLIES DIFFER between threads 1 "
+                 "and 4 (prune off) — delta replay depends on the schedule\n");
+    std::exit(1);
+  }
+}
+
 void print_table(bool quick) {
   bench::print_header(
       "Width sweep: shared structures vs one synthesize() per width",
       "beyond the paper (sweep-structured evaluation of Algorithm 1)");
+  check_delta_tallies_thread_independent();
   std::vector<Case> cases = sweep_cases(quick);
   core::SynthesisOptions options;  // threads = 1, prune on: the default path
   // Statistical measurement (bench/fat_runner.hpp): env-var-canonical

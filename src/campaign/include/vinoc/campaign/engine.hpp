@@ -52,8 +52,10 @@ struct CampaignOptions {
   /// Streaming report: one record_to_jsonl line appended per finished job,
   /// in job order, flushed per line. nullptr = no stream.
   std::FILE* stream = nullptr;
-  /// Job-order record callback (progress displays). Called with an internal
-  /// mutex held — keep it cheap, and do not call back into the engine.
+  /// Job-order record callback (progress displays). Calls are serialised
+  /// (never concurrent) but made without an engine lock held; still keep
+  /// it cheap — later records wait behind it — and do not call back into
+  /// the engine.
   std::function<void(const JobRecord&)> on_record;
 
   // --- Supervision (crash-safe campaigns) -----------------------------------

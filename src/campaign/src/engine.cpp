@@ -17,6 +17,7 @@
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/explore.hpp"
 #include "vinoc/exec/cancel.hpp"
+#include "vinoc/exec/ordered_drain.hpp"
 #include "vinoc/exec/parallel_for.hpp"
 #include "vinoc/exec/thread_pool.hpp"
 #include "vinoc/io/jsonl.hpp"
@@ -25,41 +26,6 @@
 namespace vinoc::campaign {
 
 namespace {
-
-/// Reorders concurrently finishing records into job order and flushes each
-/// one (stream + callback + result vector) as soon as all its predecessors
-/// have been flushed — streaming, but deterministic.
-class OrderedEmitter {
- public:
-  OrderedEmitter(const CampaignOptions& options, std::vector<JobRecord>& out)
-      : options_(options), out_(out) {}
-
-  void emit(std::size_t index, JobRecord record) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    pending_.emplace(index, std::move(record));
-    for (auto it = pending_.find(next_); it != pending_.end();
-         it = pending_.find(next_)) {
-      JobRecord& rec = it->second;
-      if (options_.stream != nullptr) {
-        const std::string line =
-            record_to_jsonl(rec, options_.include_timing) + "\n";
-        std::fputs(line.c_str(), options_.stream);
-        std::fflush(options_.stream);
-      }
-      if (options_.on_record) options_.on_record(rec);
-      out_.push_back(std::move(rec));
-      pending_.erase(it);
-      ++next_;
-    }
-  }
-
- private:
-  const CampaignOptions& options_;
-  std::vector<JobRecord>& out_;
-  std::mutex mutex_;
-  std::map<std::size_t, JobRecord> pending_;
-  std::size_t next_ = 0;
-};
 
 /// Deterministic backoff jitter: splitmix64 over (seed, job key, attempt),
 /// mapped to [0.5, 1.0) — no global RNG, so two runs of the same campaign
@@ -159,7 +125,25 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     failed_out << io::add_line_checksum(w.line()) << '\n' << std::flush;
   };
 
-  OrderedEmitter emitter(options, out.records);
+  // Concurrently finishing records are reordered into job order, and each
+  // one is flushed (stream line, callback, result vector) as soon as all its
+  // predecessors have been — streaming, but deterministic.
+  exec::OrderedDrainQueue<JobRecord> emitted(jobs.size());
+  auto emit = [&](std::size_t i, JobRecord&& rec) {
+    emitted.deposit(
+        i, std::move(rec),
+        [&](JobRecord&& ready) {
+          if (options.stream != nullptr) {
+            const std::string line =
+                record_to_jsonl(ready, options.include_timing) + "\n";
+            std::fputs(line.c_str(), options.stream);
+            std::fflush(options.stream);
+          }
+          if (options.on_record) options.on_record(ready);
+          out.records.push_back(std::move(ready));
+        },
+        [](int) {});
+  };
   // All campaign counters accumulate in per-worker obs registry shards
   // (integer sums; the buffered-outcome high-water as a kMax merge — each
   // group's peak is independent, so max-of-maxes is exact) and merge
@@ -187,10 +171,10 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   }
 
   exec::ThreadPool pool(options.threads);
-  // One scratch-arena pool for the whole campaign: each worker strand keeps
-  // its evaluation buffers (router state, metrics accumulators, ...) across
-  // every job and candidate it touches, so a thousand-job batch allocates
-  // them once per strand instead of once per job.
+  // One scratch pool for the whole campaign: each worker strand keeps its
+  // router state across every job and candidate it touches, so a
+  // thousand-job batch allocates it once per strand instead of once per
+  // job.
   core::EvalScratchPool scratch;
 
   /// Serves job i from the cache tiers; true when a record was emitted.
@@ -213,7 +197,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
         rec.cache_hit = true;
         metrics.local().add("cache_hits", 1);
         if (!rec.feasible) metrics.local().add("infeasible", 1);
-        emitter.emit(i, std::move(rec));
+        emit(i, std::move(rec));
         return true;
       }
     }
@@ -224,7 +208,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       JobRecord stored = rec;
       stored.cache_hit = false;  // the store holds computed-job records
       cache.put_record(stored);
-      emitter.emit(i, std::move(rec));
+      emit(i, std::move(rec));
       return true;
     }
     return false;
@@ -244,7 +228,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     }
     metrics.local().add("run", 1);
     cache.put_record(rec);  // cache_hit is false here by construction
-    emitter.emit(i, std::move(rec));
+    emit(i, std::move(rec));
   };
 
   /// Emits a job that supervision gave up on. Failed/skipped records carry
@@ -261,7 +245,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       shard.add("quarantined_jobs", 1);
       quarantine_job(job, failure);
     }
-    emitter.emit(i, std::move(rec));
+    emit(i, std::move(rec));
   };
 
   /// Supervision policy around one synthesis call: per-attempt child token

@@ -57,7 +57,8 @@ struct Slot {
 };
 
 /// Streams records in global job order as they arrive out of order from the
-/// shards — the supervisor-side twin of the engine's OrderedEmitter.
+/// shards — the supervisor-side twin of the engine's job-order record queue
+/// (an exec::OrderedDrainQueue).
 class OrderedStream {
  public:
   OrderedStream(const CampaignOptions& options, std::size_t total)

@@ -25,11 +25,12 @@
 // saved-point list all follow candidate index — which is what makes the
 // parallel run bit-identical to the sequential one.
 //
-// Hot path: evaluation takes an optional per-worker EvalScratch (buffers
-// reset, not reallocated, between candidates; see exec::WorkerLocal) and an
-// optional ParetoBound for cost-bound pruning (see vinoc/core/prune.hpp) —
-// a candidate whose monotone power/latency lower bounds are dominated by
-// the current front is abandoned before routing/metrics complete.
+// Hot path: evaluation takes an optional per-worker EvalScratch (the
+// router's buffers, reset rather than reallocated between candidates; see
+// exec::WorkerLocal) and an optional ParetoBound for cost-bound pruning
+// (see vinoc/core/prune.hpp) — a candidate whose monotone power/latency
+// lower bounds are dominated by the current front is abandoned before
+// routing/metrics complete.
 #pragma once
 
 #include <functional>
@@ -170,27 +171,20 @@ struct CandidateOutcome {
   std::shared_ptr<const CandidateOutcome> shared;
 };
 
-/// Per-worker scratch arena for the evaluation stage: router state, metrics
-/// accumulators, placement/compaction buffers and the pruning-bound
-/// vectors. Buffers are reset (assign/clear), never shrunk, so a sweep of
-/// thousands of candidates allocates O(1) times per worker. Obtain one per
+/// Per-worker scratch of the evaluation stage: the router's reusable state
+/// (Dijkstra buffers, link matrix, routing geometry) and the delta replay
+/// state. Every other buffer of an evaluation is call-local. Obtain one per
 /// strand via EvalScratchPool; a null scratch falls back to call-local
-/// allocation with identical results.
+/// router state with identical results.
 struct EvalScratch {
   RouterScratch router;
-  MetricsScratch metrics;
-  std::vector<floorplan::Point> centroid_pts;
-  std::vector<double> centroid_wts;
-  std::vector<double> min_flow_latency;   ///< per-flow latency floor
-  std::vector<double> switch_bw_floor;    ///< per-switch endpoint traffic
-  std::vector<double> switch_ebit_floor;  ///< per-switch energy/bit floor
   /// Delta-evaluation replay state (taint vector, hop-comparison buffer,
-  /// per-candidate counters); the caller points its `ref` at the group's
-  /// published DeltaReference before each delta evaluation.
+  /// per-candidate counters); the caller points its `ref` at the group
+  /// leader's DeltaReference before each member evaluation.
   DeltaRouteState delta;
 };
 
-/// Thread-keyed pool of EvalScratch arenas (exec::WorkerLocal). One slot
+/// Thread-keyed pool of EvalScratch (exec::WorkerLocal). One slot
 /// per strand, created lazily, reused across candidates, synthesize() runs
 /// and — when the pool outlives them — campaign jobs.
 class EvalScratchPool {
@@ -207,7 +201,7 @@ class EvalScratchPool {
 /// deadlock freedom, refine intermediate positions and compute metrics.
 /// Pure w.r.t. `ctx` (const access only); deterministic per candidate.
 ///
-/// `scratch` reuses the worker's buffers (optional). `bound` enables
+/// `scratch` reuses the worker's router state (optional). `bound` enables
 /// Pareto-bound pruning: the candidate is abandoned (status kPruned) as
 /// soon as its monotone power/latency lower bounds are dominated by the
 /// front — before routing when the pre-routing floor already is, or after

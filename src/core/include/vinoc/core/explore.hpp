@@ -104,14 +104,18 @@ struct WidthSetStats {
 /// switch size and minimum switch count per island); ONE min-cut partition
 /// per distinct (island, switch count, max block size) across all widths;
 /// and ONE routing geometry per candidate across the widths of its class.
-/// Every (class, candidate) unit fans out over `pool`; each of its widths
-/// is evaluated by evaluate_candidate() with delta replay per (class,
-/// width), and outcomes stream into per-width merges in enumeration order.
+/// The units that fan out over `pool` are the classes' delta groups (runs
+/// of candidates sharing switches_per_island). One strand evaluates a
+/// group's candidates in enumeration order, each at every width of the
+/// class, by evaluate_candidate(); the group's leader records one delta
+/// reference per width and its members replay against it. Outcomes stream
+/// into per-width merges in enumeration order.
 ///
 /// Each entry's SynthesisResult therefore equals what the set would give
 /// for that width alone — same points, stats, Pareto front — for every
 /// thread count and both prune settings (elapsed_seconds, which is
-/// measured, reports the whole set's wall time). Throws
+/// measured, reports the whole set's wall time; see SynthesisStats for the
+/// telemetry that depends on scheduling). Throws
 /// std::invalid_argument for an invalid spec or alpha weights outside
 /// [0,1]. Infeasible widths (an NI link exceeds attainable bandwidth) yield
 /// feasible == false with a default result; synthesize() turns that into

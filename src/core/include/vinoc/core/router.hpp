@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -74,14 +73,15 @@ struct RouterOptions {
 [[nodiscard]] std::vector<std::size_t> bandwidth_descending_order(
     const soc::SocSpec& spec);
 
-/// Width-invariant routing geometry of one candidate topology: the hop
-/// length matrix plus, per (source-island, destination-island) flow class,
-/// the CSR of admissible hops (target switch, length, crossing flags) every
+/// Width-invariant routing geometry of one switch layout: the hop length
+/// matrix plus, per (source-island, destination-island) flow class, the CSR
+/// of admissible hops (target switch, length, crossing flags) every
 /// Dijkstra of that class walks. Switch positions and the shutdown-safety
 /// admissibility rule depend on neither the link width nor the island
-/// frequencies, so ONE geometry serves every width of a sweep and both
-/// routing passes of route_all_flows — it is reset once per candidate and
-/// its classes are built lazily on first use.
+/// frequencies, so ONE geometry serves every width of a candidate and both
+/// routing passes of route_all_flows. It records the layout it was built
+/// from, and route_all_flows rebuilds it only when the topology's layout
+/// differs; its classes are built lazily on first use.
 struct RoutingGeometry {
   /// One contiguous range [lo, hi) of admissible target switches of one
   /// source switch, all in the same island — so the relaxation loop streams
@@ -99,9 +99,14 @@ struct RoutingGeometry {
     std::vector<int> run_begin;  ///< per switch id, runs[run_begin[u]..run_begin[u+1])
     std::vector<HopRun> runs;
   };
-  std::size_t n = 0;
+  /// The layout the geometry was built from: per switch position and
+  /// island, the island count and fl(link_leakage_mw_per_wire_mm * 1e-3).
+  std::vector<floorplan::Point> pos;
+  std::vector<soc::IslandId> island;
   std::size_t n_islands = 0;
-  std::vector<double> hop_len;   ///< n x n flat matrix of Manhattan lengths
+  double link_leak_c = 0.0;
+  /// n x n flat matrix of Manhattan lengths (n switches).
+  std::vector<double> hop_len;
   /// fl(link_leakage_coeff * hop_len): width-invariant part of the
   /// opening-cost floor (see router.cpp), n x n.
   std::vector<double> leak_len;
@@ -110,7 +115,9 @@ struct RoutingGeometry {
 
 /// Reusable routing state. Buffers grow to the high-water mark of the
 /// topologies routed through them and are reset — not reallocated — per
-/// call; one instance per worker strand (see exec::WorkerLocal).
+/// call; one instance per worker strand (see exec::WorkerLocal). Reusing
+/// one instance across topologies never changes a result: the geometry is
+/// rebuilt whenever the layout it records differs from the one routed.
 struct RouterScratch {
   std::vector<std::size_t> flow_order;  ///< used when options.flow_order == nullptr
   std::vector<double> dist;
@@ -127,17 +134,10 @@ struct RouterScratch {
   /// Lazy (dist, index) min-heap of the per-flow Dijkstra; pops reproduce
   /// the dense scan's lowest-dist-then-lowest-index extraction exactly.
   std::vector<std::pair<double, int>> heap;
-  /// Per-candidate routing geometry, reset by route_all_flows and shared by
-  /// both passes.
+  /// Routing geometry of the last layout routed, shared by both passes and
+  /// by later calls on the same layout (the other widths of a candidate, a
+  /// pruned leader's unbounded re-route).
   RoutingGeometry geometry;
-  /// Geometry reuse across route_all_flows calls of the SAME candidate
-  /// topology (e.g. one candidate evaluated at several widths): callers that
-  /// guarantee unchanged switch positions/islands set geometry_token to a
-  /// fresh non-zero value per candidate; the geometry is rebuilt only when
-  /// the token changes. 0 (default) always rebuilds.
-  std::uint64_t geometry_token = 0;
-  std::uint64_t geometry_built_token = 0;
-  std::uint64_t geometry_token_counter = 0;  ///< for callers minting tokens
   NocTopology fallback;  ///< pristine pre-routing copy for the retry pass
 };
 
@@ -187,8 +187,8 @@ struct DeltaReference {
   /// share its island switches (same partitions, centroids and ids). A
   /// member proven to replay every flow (certify_delta_member) builds
   /// nothing and returns an outcome that points here for its topology and
-  /// signature (CandidateOutcome::shared). Read-only once published;
-  /// members on several threads read it concurrently.
+  /// signature (CandidateOutcome::shared). Read-only once set; the merge
+  /// may read it through `shared` on another thread.
   std::shared_ptr<const CandidateOutcome> outcome;
   /// The reference's pre-routing bound checkpoint (power, average latency),
   /// set by evaluate_candidate when it evaluated the reference with a

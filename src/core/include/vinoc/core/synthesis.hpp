@@ -152,12 +152,16 @@ struct SynthesisStats {
   int rejected_pruned = 0;
   double elapsed_seconds = 0.0;
 
-  // --- Observability (excluded from result fingerprints; the fields below
-  // depend on worker scheduling when threads != 1, so they are NOT part of
-  // the bit-identity guarantee). ---
+  // --- Observability (excluded from result fingerprints and NOT part of
+  // the bit-identity guarantee). With threads != 1 two things depend on
+  // worker scheduling: peak_buffered_outcomes, and — with options.prune
+  // only — the delta tallies, since a member's prune decision reads a
+  // concurrent bound snapshot and a pruned member counts no delta work.
+  // With pruning off the delta tallies are the same for every thread
+  // count: one strand evaluates each group, its reference first. ---
 
   /// Delta-evaluation telemetry (options.delta_eval): member candidates
-  /// whose evaluation ran with replay armed (a published group reference
+  /// whose evaluation ran with replay armed (a recorded group reference
   /// with a bit-equal power normalizer), and their per-flow tallies —
   /// routes replayed without a Dijkstra (`delta_flows_reused`) and flows
   /// routed live because the config diff could affect them
@@ -180,7 +184,8 @@ struct SynthesisStats {
   /// (results waiting for an enumeration-order predecessor still being
   /// evaluated). Caps peak memory: with threads == 1 it equals one
   /// evaluation batch (1 for synthesize(), the width-class size for the
-  /// sweep, which reports the sweep-global peak on every entry).
+  /// sweep, which reports the sweep-global peak on every entry); with more
+  /// threads it can reach about one delta group per worker.
   int peak_buffered_outcomes = 0;
 };
 
@@ -210,9 +215,10 @@ struct SynthesisResult {
 /// ENUMERATED (pure, sequential — the (outer x inner) sweep of the paper,
 /// deduplicated on saturation), their per-(island, switch-count) min-cut
 /// partitions computed once each, then every candidate is EVALUATED
-/// independently (partition lookup -> switch placement -> routing ->
-/// metrics) across options.threads strands and merged back in enumeration
-/// order, so the result does not depend on the thread count. See
+/// (partition lookup -> switch placement -> routing -> metrics), one delta
+/// group — the candidates sharing per-island switch counts — per strand
+/// across options.threads strands, and merged back in enumeration order,
+/// so the result does not depend on the thread count. See
 /// vinoc/core/candidates.hpp for the stage boundary.
 SynthesisResult synthesize(const soc::SocSpec& spec,
                            const SynthesisOptions& options = {});
@@ -221,7 +227,7 @@ class EvalScratchPool;  // vinoc/core/candidates.hpp
 
 /// Same, but evaluates candidates on an existing pool (instead of creating
 /// one from options.threads) and reuses the caller's per-worker scratch
-/// arenas (preallocated router/metrics/placement buffers). Batch drivers
+/// (the router's preallocated buffers and routing geometry). Batch drivers
 /// keep one pool and one EvalScratchPool alive across many calls so
 /// workers and buffers are created once, not once per run. Results are
 /// identical either way; nested use of the pool is safe (see

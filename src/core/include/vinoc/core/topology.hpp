@@ -100,27 +100,12 @@ struct NocTopology {
   [[nodiscard]] std::vector<std::string> validate(const soc::SocSpec& spec) const;
 };
 
-/// Reusable buffers for compute_metrics (hot path: called once per routed
-/// candidate). Reset, not reallocated, per call; one per worker strand.
-struct MetricsScratch {
-  std::vector<int> ports_in;
-  std::vector<int> ports_out;
-  std::vector<double> switch_bw;
-  std::vector<int> visit_stamp;  ///< per-switch, last flow that counted it
-  std::vector<double> core_in_bw;
-  std::vector<double> core_out_bw;
-};
-
 /// Evaluates power/area/latency of `topo` for `spec` under `tech`.
 /// `link_width_bits` is the NoC data width (the paper fixes it as an input).
-/// `scratch` (optional) supplies reusable buffers; results are identical
-/// with or without it — per-switch traffic and port counts accumulate in
-/// the same order either way.
 [[nodiscard]] Metrics compute_metrics(const NocTopology& topo,
                                       const soc::SocSpec& spec,
                                       const models::Technology& tech,
-                                      int link_width_bits = 32,
-                                      MetricsScratch* scratch = nullptr);
+                                      int link_width_bits = 32);
 
 /// Zero-load latency of one route under the header's accounting.
 [[nodiscard]] double route_latency_cycles(const NocTopology& topo,

@@ -54,8 +54,7 @@ std::vector<floorplan::Point> ring_positions(const floorplan::Floorplan& fp,
 /// block at the traffic-weighted centroid of its cores, plus `k_int`
 /// intermediate switches at ring_positions().
 void build_switches(NocTopology& topo, const EvalContext& ctx,
-                    const std::vector<const IslandPartition*>& parts, int k_int,
-                    EvalScratch* scratch) {
+                    const std::vector<const IslandPartition*>& parts, int k_int) {
   const soc::SocSpec& spec = ctx.spec;
   const floorplan::Floorplan& fp = ctx.floorplan;
   topo = NocTopology{};
@@ -66,12 +65,8 @@ void build_switches(NocTopology& topo, const EvalContext& ctx,
   }
   topo.intermediate_freq_hz = ctx.intermediate_params.freq_hz;
 
-  std::vector<floorplan::Point> local_pts;
-  std::vector<double> local_wts;
-  std::vector<floorplan::Point>& pts =
-      scratch != nullptr ? scratch->centroid_pts : local_pts;
-  std::vector<double>& wts = scratch != nullptr ? scratch->centroid_wts : local_wts;
-
+  std::vector<floorplan::Point> pts;
+  std::vector<double> wts;
   for (std::size_t isl = 0; isl < spec.islands.size(); ++isl) {
     for (const auto& block : parts[isl]->blocks) {
       SwitchInst sw;
@@ -115,12 +110,9 @@ void build_switches(NocTopology& topo, const EvalContext& ctx,
 /// Moves each intermediate switch to the traffic-weighted centroid of its
 /// link partners and refreshes wire lengths.
 void refine_intermediate_positions(NocTopology& topo, const floorplan::Floorplan& fp,
-                                   const soc::SocSpec& spec, EvalScratch* scratch) {
-  std::vector<floorplan::Point> local_pts;
-  std::vector<double> local_wts;
-  std::vector<floorplan::Point>& pts =
-      scratch != nullptr ? scratch->centroid_pts : local_pts;
-  std::vector<double>& wts = scratch != nullptr ? scratch->centroid_wts : local_wts;
+                                   const soc::SocSpec& spec) {
+  std::vector<floorplan::Point> pts;
+  std::vector<double> wts;
   for (std::size_t s = 0; s < topo.switches.size(); ++s) {
     SwitchInst& sw = topo.switches[s];
     if (sw.island != kIntermediateIsland) continue;
@@ -211,8 +203,8 @@ struct BaseBound {
   double latency_sum_cycles = 0.0;  ///< Σ min_flow_latency
 };
 
-/// Fills min_flow_latency / switch_bw_floor / switch_ebit_floor (indexed
-/// like topo.switches) and returns the pre-routing bound: the NI and NI-wire
+/// Fills min_flow_latency (per flow) and switch_ebit_floor (indexed like
+/// topo.switches) and returns the pre-routing bound: the NI and NI-wire
 /// power plus each switch's dynamic-power floor at its own frequency, and
 /// the per-flow latency floors.
 BaseBound compute_base_bound(const soc::SocSpec& spec, const NocTopology& topo,
@@ -220,14 +212,13 @@ BaseBound compute_base_bound(const soc::SocSpec& spec, const NocTopology& topo,
                              double ni_dynamic_base_w,
                              const std::vector<double>& core_traffic,
                              std::vector<double>& min_flow_latency,
-                             std::vector<double>& switch_bw_floor,
                              std::vector<double>& switch_ebit_floor) {
   const models::LinkModel link_model(tech);
   const models::SwitchModel sw_model(tech);
   BaseBound out;
 
   min_flow_latency.assign(spec.flows.size(), 0.0);
-  switch_bw_floor.assign(topo.switches.size(), 0.0);
+  std::vector<double> switch_bw_floor(topo.switches.size(), 0.0);
   const double pipe = tech.sw_pipeline_cycles;
   const double fifo = static_cast<double>(tech.fifo_latency_cycles);
   for (std::size_t f = 0; f < spec.flows.size(); ++f) {
@@ -323,14 +314,11 @@ void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
   out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
                       is_deadlock_free(out.point.topology);
   if (!out.deadlock_free) return;  // merge rejects it; skip the metrics
-  refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec,
-                                scratch);
+  refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec);
   OBS_SPAN("compute_metrics");
   const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
-  out.point.metrics =
-      compute_metrics(out.point.topology, ctx.spec, ctx.options.tech,
-                      ctx.options.link_width_bits,
-                      scratch != nullptr ? &scratch->metrics : nullptr);
+  out.point.metrics = compute_metrics(out.point.topology, ctx.spec,
+                                      ctx.options.tech, ctx.options.link_width_bits);
 }
 
 }  // namespace
@@ -546,8 +534,7 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     parts[isl] = &ctx.partitions.at(
         PartitionKey{static_cast<soc::IslandId>(isl), cand.switches_per_island[isl]});
   }
-  build_switches(out.point.topology, ctx, parts, cand.intermediate_switches,
-                 scratch);
+  build_switches(out.point.topology, ctx, parts, cand.intermediate_switches);
 
   // Pareto-bound pruning: reject before routing when the pre-routing floor
   // is already dominated, otherwise hand the bound to the router for
@@ -555,20 +542,13 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
   // restrictions around the fallback pass).
   RouteBound rbound;
   double base_avg_lat = 0.0;
-  std::vector<double> local_min_lat;
-  std::vector<double> local_bw_floor;
-  std::vector<double> local_ebit_floor;
+  std::vector<double> min_lat;
+  std::vector<double> ebit_floor;
   if (bound != nullptr) {
     const obs::PhaseScope obs_phase(obs::Phase::kPrune);
-    std::vector<double>& min_lat =
-        scratch != nullptr ? scratch->min_flow_latency : local_min_lat;
-    std::vector<double>& bw_floor =
-        scratch != nullptr ? scratch->switch_bw_floor : local_bw_floor;
-    std::vector<double>& ebit_floor =
-        scratch != nullptr ? scratch->switch_ebit_floor : local_ebit_floor;
     const BaseBound base = compute_base_bound(
         ctx.spec, out.point.topology, ctx.options.tech, ctx.ni_dynamic_base_w,
-        ctx.core_traffic, min_lat, bw_floor, ebit_floor);
+        ctx.core_traffic, min_lat, ebit_floor);
     const double n_flows = static_cast<double>(ctx.spec.flows.size());
     base_avg_lat =
         ctx.spec.flows.empty() ? 0.0 : base.latency_sum_cycles / n_flows;
@@ -610,7 +590,7 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
       // candidate's own outcome stays the pruned one.
       CandidateOutcome full;
       full.point.switches_per_island = cand.switches_per_island;
-      build_switches(full.point.topology, ctx, parts, 0, scratch);
+      build_switches(full.point.topology, ctx, parts, 0);
       route_and_finish(ctx, full, ropts, scratch, nullptr, 0.0, delta_record,
                        nullptr);
       if (full.status == EvalStatus::kRouted) {

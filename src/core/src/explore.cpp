@@ -54,26 +54,6 @@ struct WidthClass {
   PartitionTable partitions;
 };
 
-/// Candidate-level delta evaluation of one class. Consecutive candidates
-/// sharing switches_per_island form a GROUP (the inner k_int sweep); the
-/// group's first candidate (k_int == 0) is its reference. The reference
-/// evaluation records its routed hop sequences; once published, later group
-/// members replay the routes of flows the k_int diff cannot affect (see
-/// route_all_flows). There is one reference slot per (width, group), since
-/// the recorded hop sequences are width-dependent (frequencies and
-/// capacities differ). Publication is opportunistic — a member that runs
-/// before its reference finishes simply evaluates solo — so results stay
-/// bit-identical for every thread schedule, and threads == 1 always replays
-/// (the reference precedes its members in enumeration order).
-struct DeltaPlan {
-  std::vector<int> group_of;    ///< per candidate of the class
-  std::vector<char> leader;     ///< per candidate: first of its group
-  std::vector<int> group_size;  ///< per group
-  /// refs[j * group_size.size() + g] for width slot j, group g.
-  std::vector<std::shared_ptr<const DeltaReference>> refs;
-  std::mutex mutex;
-};
-
 /// Per-class evaluation contexts and STREAMING per-width merges: a
 /// candidate whose enumeration-order predecessors have all merged is merged
 /// and released as soon as it finishes, so the sweep buffers only the
@@ -207,44 +187,36 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     }
   }
 
-  std::vector<std::unique_ptr<DeltaPlan>> delta_plans(classes.size());
-  if (base_options.delta_eval) {
-    for (std::size_t c = 0; c < classes.size(); ++c) {
-      const WidthClass& wc = classes[c];
-      auto dp = std::make_unique<DeltaPlan>();
-      dp->group_of.resize(wc.candidates.size(), 0);
-      dp->leader.resize(wc.candidates.size(), 0);
-      int n_groups = 0;
-      for (std::size_t k = 0; k < wc.candidates.size(); ++k) {
-        if (k == 0 || wc.candidates[k].switches_per_island !=
-                          wc.candidates[k - 1].switches_per_island) {
-          dp->leader[k] = 1;
-          ++n_groups;
-        }
-        dp->group_of[k] = n_groups - 1;
-      }
-      dp->group_size.resize(static_cast<std::size_t>(n_groups), 0);
-      for (const int g : dp->group_of) ++dp->group_size[g];
-      dp->refs.resize(wc.width_indices.size() *
-                      static_cast<std::size_t>(n_groups));
-      delta_plans[c] = std::move(dp);
-    }
-  }
-
-  // Flatten (class, candidate) into one work list so every class's
-  // candidates fan out over the same pool concurrently.
+  // The unit of work is one DELTA GROUP of one class: a maximal run of
+  // candidates sharing switches_per_island, i.e. one outer iteration of
+  // Algorithm 1 whose inner loop sweeps k_int. The group's first candidate
+  // (k_int == 0) is its leader: evaluated with a DeltaReference attached
+  // per width, it records its routed hop sequences, and the later members
+  // replay the routes of flows the k_int diff cannot affect (see
+  // route_all_flows). The references are width-dependent (frequencies and
+  // capacities differ), so there is one per width of the class. One strand
+  // evaluates a group's candidates in enumeration order, so every member
+  // sees its leader's references and the delta tallies do not depend on
+  // the thread count.
   struct Unit {
     std::size_t class_id;
-    std::size_t cand_id;
+    std::size_t begin;  ///< first candidate of the group (its leader)
+    std::size_t end;
   };
   std::vector<Unit> units;
   std::size_t progress_total = 0;
   for (std::size_t c = 0; c < classes.size(); ++c) {
-    for (std::size_t k = 0; k < classes[c].candidates.size(); ++k) {
-      units.push_back({c, k});
+    const std::vector<CandidateConfig>& cands = classes[c].candidates;
+    for (std::size_t k = 0; k < cands.size();) {
+      std::size_t end = k + 1;
+      while (end < cands.size() &&
+             cands[end].switches_per_island == cands[k].switches_per_island) {
+        ++end;
+      }
+      units.push_back({c, k, end});
+      k = end;
     }
-    progress_total +=
-        classes[c].candidates.size() * classes[c].width_indices.size();
+    progress_total += cands.size() * classes[c].width_indices.size();
   }
 
   // Per-width shared Pareto bounds (prune snapshots; the merge below
@@ -304,87 +276,67 @@ std::vector<WidthSweepEntry> synthesize_width_set(
 
   exec::parallel_for_each(pool, units.size(), [&](std::size_t u) {
     OBS_SPAN("sweep_unit");
-    // Cancellation poll, once per (class, candidate) unit: a cancelled run
-    // throws here on every remaining unit, so the fan-out drains fast and
-    // parallel_for_each rethrows the lowest-index CancelledError.
-    if (base_options.cancel != nullptr) {
-      base_options.cancel->check("synthesize_width_set");
-    }
     const Unit unit = units[u];
     const WidthClass& wc = classes[unit.class_id];
     ClassState& cs = *class_states[unit.class_id];
-    const CandidateConfig& cand = wc.candidates[unit.cand_id];
     EvalScratch& es = scratch.local();
-    DeltaPlan* dp = delta_plans[unit.class_id].get();
-    const int g = dp != nullptr ? dp->group_of[unit.cand_id] : 0;
-    std::vector<CandidateOutcome> outs(wc.width_indices.size());
-    // One geometry token spans all widths of the candidate: switch positions
-    // and admissibility are width-invariant, so the hop/leakage matrices
-    // and class runs are built once.
-    es.router.geometry_token = ++es.router.geometry_token_counter;
-    for (std::size_t j = 0; j < outs.size(); ++j) {
-      const std::size_t wi = wc.width_indices[j];
-      std::shared_ptr<const ParetoBound> snap;
-      const ParetoBound* bound = nullptr;
-      if (base_options.prune) {
-        snap = bounds[wi].snapshot();
-        bound = snap != nullptr ? snap.get() : &empty_bound;
+    const std::size_t n_widths = wc.width_indices.size();
+    // The leader's reference per width slot (none for a lone candidate:
+    // there is no member to replay it).
+    const bool record = base_options.delta_eval && unit.end - unit.begin > 1;
+    std::vector<DeltaReference> refs(record ? n_widths : 0);
+    for (std::size_t k = unit.begin; k < unit.end; ++k) {
+      // Cancellation poll, once per candidate: a cancelled run throws here,
+      // so the fan-out drains fast and parallel_for_each rethrows the
+      // lowest-index CancelledError.
+      if (base_options.cancel != nullptr) {
+        base_options.cancel->check("synthesize_width_set");
       }
-      // Delta evaluation: per (class, width), the group reference records
-      // and later group members replay (see DeltaPlan).
-      std::shared_ptr<DeltaReference> rec;
-      std::shared_ptr<const DeltaReference> ref;
-      DeltaRouteState* delta = nullptr;
-      const std::size_t slot =
-          j * (dp != nullptr ? dp->group_size.size() : 0) +
-          static_cast<std::size_t>(g);
-      if (dp != nullptr) {
-        if (dp->leader[unit.cand_id]) {
-          if (dp->group_size[g] > 1) rec = std::make_shared<DeltaReference>();
-        } else {
-          {
-            const std::lock_guard<std::mutex> lock(dp->mutex);
-            ref = dp->refs[slot];
-          }
-          if (ref != nullptr) {
-            es.delta.ref = ref.get();
-            delta = &es.delta;
+      const CandidateConfig& cand = wc.candidates[k];
+      std::vector<CandidateOutcome> outs(n_widths);
+      for (std::size_t j = 0; j < n_widths; ++j) {
+        const std::size_t wi = wc.width_indices[j];
+        std::shared_ptr<const ParetoBound> snap;
+        const ParetoBound* bound = nullptr;
+        if (base_options.prune) {
+          snap = bounds[wi].snapshot();
+          bound = snap != nullptr ? snap.get() : &empty_bound;
+        }
+        DeltaReference* rec = nullptr;
+        DeltaRouteState* delta = nullptr;
+        if (record && k == unit.begin) {
+          rec = &refs[j];
+        } else if (record && refs[j].valid) {
+          es.delta.ref = &refs[j];
+          delta = &es.delta;
+        }
+        outs[j] = evaluate_candidate(cs.ctx[j], cand, &es, bound, rec, delta);
+        if (delta != nullptr) {
+          es.delta.ref = nullptr;
+          if (delta->pnorm_matched) {
+            obs::Registry& shard = delta_metrics[wi].local();
+            shard.add("delta_candidates", 1);
+            shard.add("delta_flows_reused", delta->flows_reused);
+            shard.add("delta_flows_rerouted", delta->flows_rerouted);
+            shard.add("delta_members_skipped", delta->member_skipped ? 1 : 0);
           }
         }
-      }
-      outs[j] = evaluate_candidate(cs.ctx[j], cand, &es, bound, rec.get(), delta);
-      if (rec != nullptr && rec->valid) {
-        const std::lock_guard<std::mutex> lock(dp->mutex);
-        dp->refs[slot] = std::move(rec);
-      }
-      if (delta != nullptr) {
-        es.delta.ref = nullptr;  // `ref` dies with this width slot
-        if (delta->pnorm_matched) {
-          obs::Registry& shard = delta_metrics[wi].local();
-          shard.add("delta_candidates", 1);
-          shard.add("delta_flows_reused", delta->flows_reused);
-          shard.add("delta_flows_rerouted", delta->flows_rerouted);
-          shard.add("delta_members_skipped", delta->member_skipped ? 1 : 0);
+        const CandidateOutcome& o = outs[j];
+        if (base_options.prune && o.status == EvalStatus::kRouted &&
+            o.deadlock_free) {
+          bounds[wi].publish(o.point.metrics.noc_dynamic_w,
+                             o.point.metrics.avg_latency_cycles);
         }
       }
-      const CandidateOutcome& o = outs[j];
-      if (base_options.prune && o.status == EvalStatus::kRouted &&
-          o.deadlock_free) {
-        bounds[wi].publish(o.point.metrics.noc_dynamic_w,
-                           o.point.metrics.avg_latency_cycles);
-      }
-    }
-    es.router.geometry_token = 0;
-    {
       // Streaming merge: deposit this candidate's per-width batch, drain
       // every candidate whose predecessors are all merged (see
       // exec::OrderedDrainQueue — merges run on whichever worker advanced
       // the cursor, in strict enumeration order, so results are
       // bit-identical to the end-of-sweep merge). The buffered-outcome
       // accounting is sweep-global across classes.
-      const int batch = static_cast<int>(outs.size());
+      const int batch = static_cast<int>(n_widths);
       cs.queue.deposit(
-          unit.cand_id, std::move(outs),
+          k, std::move(outs),
           [&cs](std::vector<CandidateOutcome>&& ready_outs) {
             for (std::size_t j = 0; j < ready_outs.size(); ++j) {
               cs.mergers[j].add(std::move(ready_outs[j]));
@@ -398,12 +350,12 @@ std::vector<WidthSweepEntry> synthesize_width_set(
                    !peak_buffered.compare_exchange_weak(peak, now)) {
             }
           });
-    }
-    if (on_progress) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      for (const std::size_t wi : wc.width_indices) {
-        ++progress_done;
-        on_progress({progress_done, progress_total, widths[wi]});
+      if (on_progress) {
+        const std::lock_guard<std::mutex> lock(progress_mutex);
+        for (const std::size_t wi : wc.width_indices) {
+          ++progress_done;
+          on_progress({progress_done, progress_total, widths[wi]});
+        }
       }
     }
   });
@@ -453,8 +405,8 @@ WidthSweepResult explore_link_widths(const soc::SocSpec& spec,
     if (w <= 0) throw std::invalid_argument("explore_link_widths: width <= 0");
   }
 
-  // One pool and one scratch-arena pool for the whole sweep: the
-  // (candidate x width) work units fan out here and any nested fan-outs
+  // One pool and one scratch pool for the whole sweep: the delta-group
+  // work units fan out here and any nested fan-outs
   // share the SAME pool (see vinoc/exec/thread_pool.hpp), so total
   // parallelism stays bounded by base_options.threads.
   exec::ThreadPool pool(base_options.threads);

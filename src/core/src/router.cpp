@@ -1116,15 +1116,41 @@ class Router {
   double link_w_per_bw_mm_ = 0.0;
 };
 
-/// Resets `g` for a new candidate topology: hop lengths and their leakage
-/// scalings recomputed, class runs invalidated (buffers kept, refilled
-/// lazily). `link_leak_c` is fl(link_leakage_mw_per_wire_mm * 1e-3) — a
-/// pure technology constant, so the leak_len matrix stays width-invariant.
+/// True when `g` was built from `topo`'s layout, `n_islands` and
+/// `link_leak_c` — everything prepare_geometry and the lazily built classes
+/// read — so it can be reused as is.
+bool geometry_matches(const RoutingGeometry& g, const NocTopology& topo,
+                      std::size_t n_islands, double link_leak_c) {
+  if (g.classes.empty() || g.n_islands != n_islands ||
+      g.link_leak_c != link_leak_c || g.pos.size() != topo.switches.size()) {
+    return false;
+  }
+  for (std::size_t s = 0; s < g.pos.size(); ++s) {
+    const SwitchInst& sw = topo.switches[s];
+    if (g.island[s] != sw.island || g.pos[s].x_mm != sw.pos.x_mm ||
+        g.pos[s].y_mm != sw.pos.y_mm) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Rebuilds `g` for `topo`'s layout: layout recorded, hop lengths and their
+/// leakage scalings recomputed, class runs invalidated (buffers kept,
+/// refilled lazily). `link_leak_c` is fl(link_leakage_mw_per_wire_mm *
+/// 1e-3) — a pure technology constant, so the leak_len matrix stays
+/// width-invariant.
 void prepare_geometry(RoutingGeometry& g, const NocTopology& topo,
                       std::size_t n_islands, double link_leak_c) {
   const std::size_t n = topo.switches.size();
-  g.n = n;
+  g.pos.resize(n);
+  g.island.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    g.pos[s] = topo.switches[s].pos;
+    g.island[s] = topo.switches[s].island;
+  }
   g.n_islands = n_islands;
+  g.link_leak_c = link_leak_c;
   g.hop_len.assign(n * n, 0.0);
   g.leak_len.assign(n * n, 0.0);
   for (std::size_t a = 0; a < n; ++a) {
@@ -1152,10 +1178,9 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   }
   RouterScratch local;
   RouterScratch& sc = scratch != nullptr ? *scratch : local;
-  if (sc.geometry_token == 0 || sc.geometry_built_token != sc.geometry_token) {
-    prepare_geometry(sc.geometry, topo, spec.islands.size(),
-                     options.tech.link_leakage_mw_per_wire_mm * 1e-3);
-    sc.geometry_built_token = sc.geometry_token;
+  const double link_leak_c = options.tech.link_leakage_mw_per_wire_mm * 1e-3;
+  if (!geometry_matches(sc.geometry, topo, spec.islands.size(), link_leak_c)) {
+    prepare_geometry(sc.geometry, topo, spec.islands.size(), link_leak_c);
   }
   if (record != nullptr) {
     record->records.clear();

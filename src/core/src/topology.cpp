@@ -151,14 +151,11 @@ double route_latency_cycles(const NocTopology& topo, const FlowRoute& route,
 }
 
 Metrics compute_metrics(const NocTopology& topo, const soc::SocSpec& spec,
-                        const models::Technology& tech, int link_width_bits,
-                        MetricsScratch* scratch) {
+                        const models::Technology& tech, int link_width_bits) {
   const models::SwitchModel sw_model(tech);
   const models::LinkModel link_model(tech);
   const models::NiModel ni_model(tech);
   const models::BisyncFifoModel fifo_model(tech);
-  MetricsScratch local;
-  MetricsScratch& sc = scratch != nullptr ? *scratch : local;
 
   Metrics m;
   const std::size_t n_sw = topo.switches.size();
@@ -170,17 +167,17 @@ Metrics compute_metrics(const NocTopology& topo, const soc::SocSpec& spec,
   // to dominate the metrics cost). Per-switch bandwidth accumulates in flow
   // order, exactly like NocTopology::switch_aggregate_bw, so the floating-
   // point sums are bit-identical to the per-switch scan.
-  sc.ports_in.assign(n_sw, 0);
-  sc.ports_out.assign(n_sw, 0);
-  sc.switch_bw.assign(n_sw, 0.0);
-  sc.visit_stamp.assign(n_sw, -1);
+  std::vector<int> ports_in(n_sw, 0);
+  std::vector<int> ports_out(n_sw, 0);
+  std::vector<double> switch_bw(n_sw, 0.0);
+  std::vector<int> visit_stamp(n_sw, -1);  // per switch, last flow that counted it
   for (std::size_t s = 0; s < n_sw; ++s) {
-    sc.ports_in[s] = static_cast<int>(topo.switches[s].cores.size());
-    sc.ports_out[s] = sc.ports_in[s];
+    ports_in[s] = static_cast<int>(topo.switches[s].cores.size());
+    ports_out[s] = ports_in[s];
   }
   for (const TopLink& l : topo.links) {
-    ++sc.ports_out[static_cast<std::size_t>(l.src_switch)];
-    ++sc.ports_in[static_cast<std::size_t>(l.dst_switch)];
+    ++ports_out[static_cast<std::size_t>(l.src_switch)];
+    ++ports_in[static_cast<std::size_t>(l.dst_switch)];
   }
   for (std::size_t f = 0; f < topo.routes.size(); ++f) {
     const FlowRoute& r = topo.routes[f];
@@ -188,9 +185,9 @@ Metrics compute_metrics(const NocTopology& topo, const soc::SocSpec& spec,
     const int stamp = static_cast<int>(f);
     auto visit = [&](int s) {
       if (s < 0) return;  // unset endpoint on a hand-built topology
-      if (sc.visit_stamp[static_cast<std::size_t>(s)] != stamp) {
-        sc.visit_stamp[static_cast<std::size_t>(s)] = stamp;
-        sc.switch_bw[static_cast<std::size_t>(s)] += bw;
+      if (visit_stamp[static_cast<std::size_t>(s)] != stamp) {
+        visit_stamp[static_cast<std::size_t>(s)] = stamp;
+        switch_bw[static_cast<std::size_t>(s)] += bw;
       }
     };
     visit(r.src_switch);
@@ -203,19 +200,17 @@ Metrics compute_metrics(const NocTopology& topo, const soc::SocSpec& spec,
   // Switches.
   for (std::size_t s = 0; s < n_sw; ++s) {
     const SwitchInst& sw = topo.switches[s];
-    const int in = sc.ports_in[s];
-    const int out = sc.ports_out[s];
-    m.switch_dynamic_w += sw_model.dynamic_power_w(in, out, sw.freq_hz, sc.switch_bw[s]);
+    const int in = ports_in[s];
+    const int out = ports_out[s];
+    m.switch_dynamic_w += sw_model.dynamic_power_w(in, out, sw.freq_hz, switch_bw[s]);
     m.noc_leakage_w += sw_model.leakage_w(in, out);
     m.noc_area_mm2 += sw_model.area_um2(in, out) * 1e-6;
     m.max_switch_ports = std::max({m.max_switch_ports, in, out});
   }
 
   // NIs and NI wires (one NI per core; wire carries both directions).
-  sc.core_in_bw.assign(spec.cores.size(), 0.0);
-  sc.core_out_bw.assign(spec.cores.size(), 0.0);
-  std::vector<double>& core_in_bw = sc.core_in_bw;
-  std::vector<double>& core_out_bw = sc.core_out_bw;
+  std::vector<double> core_in_bw(spec.cores.size(), 0.0);
+  std::vector<double> core_out_bw(spec.cores.size(), 0.0);
   for (const soc::Flow& f : spec.flows) {
     core_out_bw[static_cast<std::size_t>(f.src)] += f.bandwidth_bits_per_s;
     core_in_bw[static_cast<std::size_t>(f.dst)] += f.bandwidth_bits_per_s;

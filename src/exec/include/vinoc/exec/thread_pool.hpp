@@ -15,7 +15,7 @@
 //    when every worker is busy with unrelated jobs, which makes NESTED
 //    fan-outs safe: the campaign engine fans job groups out over the pool
 //    and each group's synthesize_width_set() fans its partition problems
-//    and (class, candidate) units out over the same pool without risk of
+//    and delta-group units out over the same pool without risk of
 //    deadlock (the inner fan-out simply degrades to the calling strand when
 //    no worker is free).
 //  * Jobs must not throw; parallel_for_each catches per-task exceptions

@@ -3,8 +3,9 @@
 // on seed benchmarks and synthetic multi-island specs), with every saved
 // point compared field by field on d64 (result_fingerprint hashes only part
 // of a topology, and skipped members' points are copied from a shared
-// outcome), reuse-counter sanity at threads == 1 (the reference always
-// precedes its members), the pinned d64/l2 outcome ledger and skip count,
+// outcome), reuse-counter sanity, delta tallies that do not depend on the
+// thread count (one strand runs each group, its reference first), the
+// pinned d64/l2 outcome ledger and skip count,
 // skipped members' bound checkpoints, the d64/l4 fine sweep's ledger with
 // every member skipped, the cross-island certificate's miss path, and
 // composition with the width sweep on both the default and fine width
@@ -186,13 +187,11 @@ TEST(DeltaEval, BitIdenticalToFromScratchForThreadsAndPrune) {
         opt.delta_eval = true;
         const SynthesisResult r = synthesize(spec, opt);
         EXPECT_EQ(fp(r), ref) << "threads " << threads << " prune " << prune;
-        if (threads == 1) {
-          // Sequential evaluation: every group reference finishes before its
-          // members start, so replay is always armed and must pay off.
-          EXPECT_GT(r.stats.delta_candidates, 0);
-          EXPECT_GT(r.stats.delta_flows_reused, 0);
-          EXPECT_GT(r.stats.delta_reuse_rate(), 0.0);
-        }
+        // Each group's leader is evaluated before its members on the same
+        // strand, so replay is armed and must pay off at any thread count.
+        EXPECT_GT(r.stats.delta_candidates, 0);
+        EXPECT_GT(r.stats.delta_flows_reused, 0);
+        EXPECT_GT(r.stats.delta_reuse_rate(), 0.0);
       }
     }
   }
@@ -231,9 +230,7 @@ TEST(DeltaEval, CrossCertificateBitIdenticalOnD64) {
         SCOPED_TRACE(testing::Message() << "l" << islands << " threads " << threads
                                         << " prune " << prune);
         expect_same_result(r, ref);
-        if (threads == 1) {
-          EXPECT_GT(r.stats.delta_members_skipped, 0);
-        }
+        EXPECT_GT(r.stats.delta_members_skipped, 0);
       }
     }
   }
@@ -254,6 +251,38 @@ TEST(DeltaEval, D64TwoIslandLedgerAndSkipsArePinned) {
   EXPECT_EQ(r.stats.rejected_deadlock, 10);
   EXPECT_EQ(r.stats.rejected_pruned, 12);
   EXPECT_EQ(r.stats.delta_members_skipped, kD64L2Skips);
+}
+
+/// The four delta tallies of one run.
+using DeltaTallies = std::tuple<int, long long, long long, int>;
+
+TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
+  // One strand evaluates each delta group, leader first, so every member
+  // replays against its leader's reference whatever the thread count. With
+  // prune on, a member's prune decision depends on the bound snapshot (and
+  // a pruned member counts no delta work), so equality is asserted with
+  // prune off.
+  const soc::SocSpec l2 = islanded(soc::make_d64_tile_soc(), 2);
+  const soc::SocSpec l4 = islanded(soc::make_d64_tile_soc(), 4);
+  std::vector<DeltaTallies> synth, sweep;
+  for (const int threads : {1, 4}) {
+    SynthesisOptions opt;
+    opt.prune = false;
+    opt.partition_seed = 1;
+    opt.threads = threads;
+    opt.link_width_bits = 32;
+    const SynthesisStats s = synthesize(l2, opt).stats;
+    synth.emplace_back(s.delta_candidates, s.delta_flows_reused,
+                       s.delta_flows_rerouted, s.delta_members_skipped);
+    WidthSetStats w;
+    (void)explore_link_widths(l4, {128, 160, 192, 256}, opt, &w);
+    sweep.emplace_back(w.delta_candidates, w.delta_flows_reused,
+                       w.delta_flows_rerouted, w.delta_members_skipped);
+  }
+  EXPECT_GT(std::get<3>(synth[0]), 0);
+  EXPECT_EQ(synth[1], synth[0]) << "d64/l2 w32";
+  EXPECT_GT(std::get<3>(sweep[0]), 0);
+  EXPECT_EQ(sweep[1], sweep[0]) << "d64/l4 fine sweep";
 }
 
 TEST(DeltaEval, SkippedMembersCarryTheirOwnCheckpointAndDesign) {

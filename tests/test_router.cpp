@@ -378,6 +378,31 @@ TEST(Router, SharedScratchAcrossCallsIsBitIdentical) {
   }
 }
 
+TEST(Router, SharedScratchRebuildsGeometryWhenALayoutMoves) {
+  // The scratch's routing geometry is reused only while the layout it was
+  // built from is unchanged: moving one switch of an otherwise identical
+  // topology (same switch count and islands) must route on the new
+  // positions, exactly like a fresh scratch.
+  RouterScratch scratch;
+  for (const double x : {2.0, 5.0, 5.0, 3.0}) {
+    Fixture shared(2, 1);
+    shared.add_flow(0, 1, 1e9, 30);
+    shared.topo.switches[1].pos.x_mm = x;
+    Fixture fresh = shared;
+    ASSERT_TRUE(route_all_flows(shared.topo, shared.spec, shared.opts, &scratch)
+                    .success);
+    ASSERT_TRUE(route_all_flows(fresh.topo, fresh.spec, fresh.opts).success);
+    ASSERT_EQ(shared.topo.links.size(), fresh.topo.links.size());
+    for (std::size_t l = 0; l < shared.topo.links.size(); ++l) {
+      EXPECT_EQ(shared.topo.links[l].src_switch, fresh.topo.links[l].src_switch);
+      EXPECT_EQ(shared.topo.links[l].dst_switch, fresh.topo.links[l].dst_switch);
+      EXPECT_EQ(shared.topo.links[l].length_mm, fresh.topo.links[l].length_mm)
+          << "x " << x;
+    }
+    EXPECT_EQ(shared.topo.routes[0].links, fresh.topo.routes[0].links);
+  }
+}
+
 TEST(RouteLatency, FormulaMatchesHeaderDoc) {
   Fixture fx(2, 1, 8);
   fx.add_flow(0, 1, 1e9, 30);

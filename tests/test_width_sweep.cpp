@@ -1,7 +1,7 @@
 // The width sweep. synthesize() is the one-width case of
 // synthesize_width_set(), so comparing a multi-width set against per-width
 // synthesize() checks that sharing work across widths (enumeration per
-// class, partition cache, geometry token, per-width merges) never changes
+// class, partition cache, routing geometry, per-width merges) never changes
 // a result: bit-identity for every thread count and both prune settings,
 // delta-evaluation tallies equal to the one-width runs', the streaming
 // per-width merge's buffer cap, the cross-width partition cache, sweep-global progress reporting,
