@@ -200,6 +200,8 @@ void print_table(bool quick) {
   // (deterministic at threads=1).
   long long partition_hits = 0;
   long long members_skipped = 0;
+  long long flows_reused = 0;
+  long long flows_rerouted = 0;
   int peak_buffered = 0;
   for (const Case& c : cases) {
     exec::ThreadPool pool(1);
@@ -208,6 +210,8 @@ void print_table(bool quick) {
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
     partition_hits += st.partition_cache_hits;
     members_skipped += st.delta_members_skipped;
+    flows_reused += st.delta_flows_reused;
+    flows_rerouted += st.delta_flows_rerouted;
     peak_buffered = std::max(peak_buffered, st.peak_buffered_outcomes);
   }
 
@@ -223,15 +227,21 @@ void print_table(bool quick) {
   bench::append_metric(
       w, "width_cands_per_s",
       bench::rate_from_time(shared_total, static_cast<double>(evals_total)));
-  // The sharing and skip counters are deterministic at threads=1 (MAD 0
-  // by construction); gating them still catches a sharing-machinery or
-  // cross-island certificate change.
+  // The sharing, skip and replay counters are deterministic at threads=1
+  // (MAD 0 by construction); gating them still catches a sharing-machinery
+  // or cross-island certificate change.
   bench::append_metric(
       w, "partition_cache_hits",
       bench::exact_stat(static_cast<double>(partition_hits), reps_floor));
   bench::append_metric(
       w, "members_skipped",
       bench::exact_stat(static_cast<double>(members_skipped), reps_floor));
+  bench::append_metric(
+      w, "delta_flows_reused",
+      bench::exact_stat(static_cast<double>(flows_reused), reps_floor));
+  bench::append_metric(
+      w, "delta_flows_rerouted",
+      bench::exact_stat(static_cast<double>(flows_rerouted), reps_floor));
   bench::append_metric(
       w, "peak_buffered_outcomes",
       bench::exact_stat(static_cast<double>(peak_buffered), reps_floor));

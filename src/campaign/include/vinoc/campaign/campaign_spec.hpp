@@ -78,6 +78,7 @@ struct CampaignJob {
   soc::SocSpec spec;  ///< fully islanded, use-case scenarios attached
   core::SynthesisOptions options;
   std::uint64_t key = 0;  ///< content hash (vinoc/campaign/spec_hash.hpp)
+  std::uint64_t structure_key = 0;  ///< width-group key (spec_hash.hpp)
 };
 
 struct ExpandStats {

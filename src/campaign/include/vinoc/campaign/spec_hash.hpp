@@ -61,6 +61,9 @@ class CanonicalHasher {
 /// hash_synthesis_options under distinct domain tags.
 [[nodiscard]] std::uint64_t job_key(const soc::SocSpec& spec,
                                     const core::SynthesisOptions& options);
+/// job_key from a precomputed `spec_hash` = hash_soc_spec(spec).
+[[nodiscard]] std::uint64_t job_key(std::uint64_t spec_hash,
+                                    const core::SynthesisOptions& options);
 
 /// Like hash_synthesis_options but with link_width_bits EXCLUDED: two
 /// option sets equal under this hash differ at most in the link width.
@@ -73,6 +76,9 @@ class CanonicalHasher {
 /// and are synthesized together through core::synthesize_width_set so that
 /// work is computed once per group instead of once per width.
 [[nodiscard]] std::uint64_t structure_key(const soc::SocSpec& spec,
+                                          const core::SynthesisOptions& options);
+/// structure_key from a precomputed `spec_hash` = hash_soc_spec(spec).
+[[nodiscard]] std::uint64_t structure_key(std::uint64_t spec_hash,
                                           const core::SynthesisOptions& options);
 
 /// Structural fingerprint of a SynthesisResult (stats, per-point switch

@@ -115,11 +115,13 @@ std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
     job.options.link_width_bits = width;
     job.options.threads = 1;
     job.options.on_progress = nullptr;
-    job.key = job_key(job_spec, job.options);
+    const std::uint64_t spec_hash = hash_soc_spec(job_spec);
+    job.key = job_key(spec_hash, job.options);
     if (!seen.insert(job.key).second) {
       ++local.deduped;
       return;
     }
+    job.structure_key = structure_key(spec_hash, job.options);
     job.spec = std::move(job_spec);
     jobs.push_back(std::move(job));
   };

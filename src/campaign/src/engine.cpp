@@ -163,8 +163,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   {
     std::map<std::uint64_t, std::size_t> group_of;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const std::uint64_t skey = structure_key(jobs[i].spec, jobs[i].options);
-      const auto [it, inserted] = group_of.emplace(skey, groups.size());
+      const auto [it, inserted] = group_of.emplace(jobs[i].structure_key, groups.size());
       if (inserted) groups.emplace_back();
       groups[it->second].push_back(i);
     }

@@ -34,9 +34,8 @@ ShardPlan plan_shards(const std::vector<CampaignJob>& jobs, int shards) {
   ShardPlan plan;
   plan.assignment.resize(static_cast<std::size_t>(shards));
   for (const CampaignJob& job : jobs) {
-    const std::uint64_t skey = structure_key(job.spec, job.options);
     const std::size_t shard = static_cast<std::size_t>(
-        mix64(skey) % static_cast<std::uint64_t>(shards));
+        mix64(job.structure_key) % static_cast<std::uint64_t>(shards));
     plan.assignment[shard].push_back(job.key);
   }
   return plan;

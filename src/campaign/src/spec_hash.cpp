@@ -156,20 +156,28 @@ std::uint64_t hash_synthesis_options_width_excluded(
   return hash_options_impl(options, /*include_width=*/false);
 }
 
-std::uint64_t job_key(const soc::SocSpec& spec,
+std::uint64_t job_key(std::uint64_t spec_hash,
                       const core::SynthesisOptions& options) {
   CanonicalHasher h;
-  h.tag(kTagJob).u64(hash_soc_spec(spec)).u64(hash_synthesis_options(options));
+  h.tag(kTagJob).u64(spec_hash).u64(hash_synthesis_options(options));
+  return h.digest();
+}
+
+std::uint64_t job_key(const soc::SocSpec& spec,
+                      const core::SynthesisOptions& options) {
+  return job_key(hash_soc_spec(spec), options);
+}
+
+std::uint64_t structure_key(std::uint64_t spec_hash,
+                            const core::SynthesisOptions& options) {
+  CanonicalHasher h;
+  h.tag(kTagJob).u64(spec_hash).u64(hash_synthesis_options_width_excluded(options));
   return h.digest();
 }
 
 std::uint64_t structure_key(const soc::SocSpec& spec,
                             const core::SynthesisOptions& options) {
-  CanonicalHasher h;
-  h.tag(kTagJob)
-      .u64(hash_soc_spec(spec))
-      .u64(hash_synthesis_options_width_excluded(options));
-  return h.digest();
+  return structure_key(hash_soc_spec(spec), options);
 }
 
 std::uint64_t result_fingerprint(const core::SynthesisResult& result) {

@@ -210,21 +210,22 @@ class EvalScratchPool {
 ///
 /// `delta_record` / `delta` opt into the candidate-level delta evaluator
 /// (see route_all_flows): a group REFERENCE evaluation records its routed
-/// hop sequences into `delta_record` (pure observation), its pre-routing
-/// bound checkpoint and, when it has no intermediate switches and routes
-/// every flow, its outcome there too — a reference pruned mid-routing
-/// finishes an unbounded routing for that, while still returning its
-/// pruned outcome. An adjacent MEMBER evaluation (k_int > 0) against a
-/// published outcome first checks its bound against the reference's
-/// checkpoint (bit-equal to its own), then asks certify_delta_member()
-/// whether it would replay every flow, from the published topology and its
-/// own ring positions alone. A certified member builds no switches and
-/// routes nothing: it returns the published status, deadlock verdict,
-/// point counts and metrics, its checkpoint, and `shared` pointing at the
-/// published outcome. Otherwise it is built and replays the records via
-/// `delta`, re-routing only the flows the config diff can affect. Either
-/// way the outcome describes the same design as a plain evaluation of the
-/// same candidate.
+/// hop sequences and cross verdicts into `delta_record` (pure observation),
+/// its pre-routing bound checkpoint and, when it has no intermediate
+/// switches and routes every flow, its outcome there too. A reference is
+/// never abandoned at a pruning checkpoint: pruned before or during
+/// routing, it routes once, to the end, returns kPruned with the bounds a
+/// plain bounded evaluation would stop at, and publishes the full design.
+/// An adjacent MEMBER evaluation (k_int > 0) against a published outcome
+/// first checks its bound against the reference's checkpoint (bit-equal to
+/// its own), then asks certify_delta_member() whether it would replay every
+/// flow, from the reference's summary and its own ring positions alone. A
+/// certified member builds no switches and routes nothing: it returns the
+/// published status, deadlock verdict, point counts and metrics, its
+/// checkpoint, and `shared` pointing at the published outcome. Otherwise it
+/// is built and replays the records via `delta`, re-routing only the flows
+/// the config diff can affect. Either way the outcome describes the same
+/// design as a plain evaluation of the same candidate.
 [[nodiscard]] CandidateOutcome evaluate_candidate(const EvalContext& ctx,
                                                   const CandidateConfig& cand,
                                                   EvalScratch* scratch = nullptr,

@@ -135,8 +135,7 @@ struct RouterScratch {
   /// the dense scan's lowest-dist-then-lowest-index extraction exactly.
   std::vector<std::pair<double, int>> heap;
   /// Routing geometry of the last layout routed, shared by both passes and
-  /// by later calls on the same layout (the other widths of a candidate, a
-  /// pruned leader's unbounded re-route).
+  /// by later calls on the same layout (the other widths of a candidate).
   RoutingGeometry geometry;
   NocTopology fallback;  ///< pristine pre-routing copy for the retry pass
 };
@@ -160,35 +159,38 @@ struct DeltaHop {
 /// flow's endpoints share a switch (nothing to replay).
 struct DeltaRouteRec {
   std::vector<DeltaHop> hops;
-  /// The reference Dijkstra's exact distance of the destination switch —
-  /// the input of the cross-island certificate (see route_all_flows), which
-  /// compares it with the flow's own lower bound on every path through the
-  /// intermediate VI. NaN (never certifies) unless the flow was routed live
-  /// over a topology without intermediate switches.
+  /// The reference Dijkstra's exact distance of the destination switch; NaN
+  /// unless routed live over a topology without intermediate switches.
   double dist = std::numeric_limits<double>::quiet_NaN();
+  /// Cross-island flows: `dist` is strictly below the flow's ring-free bound
+  /// LB0 on every path through the VI (see route_all_flows), so the verdict
+  /// holds for every member's ring. False for NaN.
+  bool certified = false;
 };
 
 /// Recording of a REFERENCE candidate's pass-1 routing, consumed by the
 /// delta evaluation of the adjacent candidates in its enumeration group
 /// (same per-island switch counts, different intermediate-switch counts).
-/// `records` holds the routed prefix of the flow order — a reference that
-/// failed or was pruned mid-routing still yields a usable prefix. `p_norm`
-/// is the reference Router's power normalizer; it is the ONLY cross-
-/// candidate coupling of intra-island routing decisions (see router.cpp),
-/// so delta reuse is gated on the consumer's normalizer being bit-equal.
+/// `records` holds the routed prefix of the flow order (a reference that
+/// failed mid-routing still yields one). `p_norm` is the reference
+/// Router's power normalizer; it is the ONLY cross-candidate coupling of
+/// intra-island routing decisions (see router.cpp), so delta reuse is gated
+/// on the consumer's normalizer being bit-equal.
 struct DeltaReference {
   std::vector<DeltaRouteRec> records;  ///< by routing-order position (prefix)
   double p_norm = 0.0;
+  double norm_span = 0.0;   ///< layout input of p_norm: largest switch coordinate
+  double vi_freq_hz = 0.0;  ///< the verdicts hold for rings at least this fast
+  int replayable = 0;       ///< records with hops (what a full replay reuses)
+  bool cross_certified = true;  ///< every recorded cross flow is certified
   bool valid = false;  ///< pass-1 routing ran with recording attached
-  /// The reference's finished routed evaluation, set by evaluate_candidate
-  /// when a reference without intermediate switches routed every flow (a
-  /// reference pruned mid-routing finishes an unbounded routing for it).
-  /// Its topology is the certificate's input for the group's members: they
-  /// share its island switches (same partitions, centroids and ids). A
-  /// member proven to replay every flow (certify_delta_member) builds
-  /// nothing and returns an outcome that points here for its topology and
-  /// signature (CandidateOutcome::shared). Read-only once set; the merge
-  /// may read it through `shared` on another thread.
+  /// The reference's finished routed design, set by evaluate_candidate when
+  /// a reference without intermediate switches routed every flow, pruned or
+  /// not (a recording pass routes to the end). A member proven to replay
+  /// every flow (certify_delta_member) builds nothing and returns an outcome
+  /// that points here for its topology and signature
+  /// (CandidateOutcome::shared). Read-only once set; the merge may read it
+  /// through `shared` on another thread.
   std::shared_ptr<const CandidateOutcome> outcome;
   /// The reference's pre-routing bound checkpoint (power, average latency),
   /// set by evaluate_candidate when it evaluated the reference with a
@@ -203,9 +205,8 @@ struct DeltaReference {
 /// route_all_flows. `ref` is the input; everything else is output counters
 /// and router-managed scratch. The router classifies each flow: flows
 /// whose islands are still IN SYNC with the reference's — intra-island
-/// flows, and in pass 1 cross-island flows whose recorded distance the
-/// cross-island certificate proves unbeaten by any path through the
-/// intermediate VI — are replayed from the record (flows_reused);
+/// flows, and in pass 1 cross-island flows whose record is certified
+/// (DeltaRouteRec::certified) — are replayed from the record (flows_reused);
 /// everything else routes live (flows_rerouted), and a live cross-island
 /// route whose hop sequence differs from the record's taints the islands
 /// it touches, ending reuse for them.
@@ -267,9 +268,10 @@ struct RouteOutcome {
   /// counterpart of the prose in failure_reason — classify on this, never
   /// on the message text (flow labels appear inside it).
   bool latency_violation = false;
-  /// True when routing was abandoned because the cost bound proved the
-  /// candidate dominated (success is false; nothing else is meaningful
-  /// except the lower bounds below).
+  /// True when a bound checkpoint proved the candidate dominated; the lower
+  /// bounds below hold that (first) checkpoint's values. A plain pass is
+  /// abandoned there (success is false); a recording pass routes on, so
+  /// `success` and the topology are those of an unbounded run.
   bool pruned = false;
   /// True when per-flow bound checks were active for the pass that produced
   /// this outcome; on SUCCESS the lower bounds below then hold the
@@ -294,20 +296,20 @@ struct RouteOutcome {
 /// pruning never hides a design the unpruned path would have produced.
 ///
 /// `record` (optional) attaches a pure OBSERVER to the greedy pass: the
-/// reference candidate's routed hop sequences and power normalizer are
-/// captured into it (routing results are unchanged). `delta` (optional)
+/// reference candidate's routed hop sequences, power normalizer and cross
+/// verdicts are captured into it (routing results are unchanged, and the
+/// pass is never abandoned at a pruning checkpoint). `delta` (optional)
 /// replays such a recording on an ADJACENT candidate of the same
 /// enumeration group: flows whose admissible structure is untouched by the
 /// config diff reuse the recorded route without a Dijkstra — intra-island
 /// flows while their island's incremental state is proven in sync with the
-/// reference's, and (pass 1) cross-island flows between in-sync islands
-/// while no link touches the intermediate VI, when the recorded distance
-/// is strictly below the flow's closed-form lower bound on every path
-/// through the intermediate VI. That bound starts from the flow's own
-/// endpoint switches: the Manhattan detour through the nearest ring switch
-/// prices the wire energy, the cheapest island-ring-island opening prices
-/// the two forced crossings (see router.cpp and README). Affected flows
-/// route live. Results are
+/// reference's, and (pass 1) certified cross-island flows between in-sync
+/// islands while no link touches the intermediate VI: the recorded
+/// distance is strictly below the flow's lower bound LB0 on every path
+/// through the VI, built from triangle-inequality floors no ring position
+/// can beat (the endpoint switches' direct Manhattan length, the islands'
+/// closest switch pair; see router.cpp and README), so the recording run
+/// decides it once for every member. Affected flows route live. Results are
 /// bit-identical to a run without `delta` — replay is sound exactly
 /// because, per island, the router's state equals the reference's at the
 /// same routing position until a diverging live route taints it.
@@ -319,25 +321,20 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
                              DeltaRouteState* delta = nullptr);
 
 /// Whole-member certificate of delta evaluation, checked BEFORE the
-/// member's topology is built (none is). It reads `ref_topo`, the
-/// topology `delta.ref` published (the member's island switches: positions,
-/// frequencies, core lists, switch_of_core), the member's `ring` switch
-/// positions (ring_positions order, not yet in any topology) and their
-/// frequency `ring_freq_hz`; from `options` only alpha_power,
-/// link_width_bits, tech, flow_order and forbid_direct_cross. True when
-/// `delta.ref` recorded every flow of a fully routed pass 1, the member's
-/// power normalizer (island switches plus ring) is bit-equal to the
-/// reference's and every cross-island flow passes the cross-island
-/// certificate: its recorded distance is below the per-flow bound built
-/// from its endpoint switches, the ring and the islands' frequencies and
-/// core-only crossbar energies. The bound does not depend on routing state,
-/// so by induction over the flow order route_all_flows on the member's
+/// member's topology is built (none is), from the summary of `delta.ref`,
+/// the member's `ring` switch positions and their frequency `ring_freq_hz`
+/// (from `options` only tech and forbid_direct_cross). True when
+/// `delta.ref` recorded every flow of a fully routed pass 1, every recorded
+/// cross-island flow is certified, the ring runs at vi_freq_hz or faster
+/// and the member's power normalizer is bit-equal to the reference's (it
+/// is when the ring stays within norm_span; otherwise it is recomputed).
+/// O(ring). The verdicts depend on neither routing state nor the ring, so
+/// by induction over the flow order route_all_flows on the member's
 /// topology with `delta` would replay every flow and produce the
-/// reference's routing exactly. On success the outputs of `delta` are set
-/// as that replay would set them, plus member_skipped; on failure they are
-/// left untouched.
-[[nodiscard]] bool certify_delta_member(const NocTopology& ref_topo,
-                                        const std::vector<floorplan::Point>& ring,
+/// reference's routing exactly. On success the
+/// outputs of `delta` are set as that replay would set them, plus
+/// member_skipped; on failure they are left untouched.
+[[nodiscard]] bool certify_delta_member(const std::vector<floorplan::Point>& ring,
                                         double ring_freq_hz,
                                         const soc::SocSpec& spec,
                                         const RouterOptions& options,

@@ -269,8 +269,11 @@ BaseBound compute_base_bound(const soc::SocSpec& spec, const NocTopology& topo,
 
 /// Routes `out.point.topology` (switches placed, links empty) and finishes
 /// the evaluation: status, last bound checkpoint, compaction, signature,
-/// deadlock check, intermediate refinement and metrics.
-void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
+/// deadlock check, intermediate refinement and metrics. Returns true when a
+/// bound checkpoint was dominated (`out.pruned_*` hold it): a plain
+/// evaluation stops there with status kPruned, a recording one
+/// (`delta_record`) routed to the end and `out` describes that design.
+bool route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
                       const RouterOptions& ropts, EvalScratch* scratch,
                       const RouteBound* rbound, double base_avg_lat,
                       DeltaReference* delta_record, DeltaRouteState* delta) {
@@ -281,30 +284,26 @@ void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
                            scratch != nullptr ? &scratch->router : nullptr,
                            rbound, delta_record, delta);
   }();
-  if (outcome.pruned) {
-    out.status = EvalStatus::kPruned;
-    out.pruned_power_lb_w = outcome.pruned_power_lb_w;
-    out.pruned_latency_lb_cycles = outcome.pruned_latency_lb_cycles;
-    return;
-  }
-  if (!outcome.success) {
-    out.status = outcome.latency_violation ? EvalStatus::kRejectedLatency
-                                           : EvalStatus::kRejectedUnroutable;
-    return;
-  }
-  out.status = EvalStatus::kRouted;
-  if (rbound != nullptr) {
-    // Record the LAST bound checkpoint of this evaluation: the router's
-    // per-flow bounds when they were active, else the pre-routing floor
-    // (the only checkpoint of a fallback-gated pass). The trajectory does
-    // not depend on which front was consulted, so the merge stage can
-    // re-check these values against the enumeration-ordered front and
-    // decide exactly what a sequential run would have decided.
+  if (outcome.pruned || (outcome.success && rbound != nullptr)) {
+    // Record the dominated checkpoint, or else the LAST bound checkpoint of
+    // this evaluation: the router's per-flow bounds when they were active,
+    // else the pre-routing floor (the only checkpoint of a fallback-gated
+    // pass). The trajectory does not depend on which front was consulted,
+    // so the merge stage can re-check these values against the
+    // enumeration-ordered front and decide exactly what a sequential run
+    // would have decided.
     out.pruned_power_lb_w =
         outcome.bound_checked ? outcome.pruned_power_lb_w : rbound->base_power_lb_w;
     out.pruned_latency_lb_cycles =
         outcome.bound_checked ? outcome.pruned_latency_lb_cycles : base_avg_lat;
   }
+  if (!outcome.success) {
+    out.status = outcome.pruned             ? EvalStatus::kPruned
+                 : outcome.latency_violation ? EvalStatus::kRejectedLatency
+                                             : EvalStatus::kRejectedUnroutable;
+    return outcome.pruned;
+  }
+  out.status = EvalStatus::kRouted;
   // The router may leave some offered intermediate switches unused; drop
   // them so designs deduplicate cleanly across k_int values (several k_int
   // can collapse onto the same effective design).
@@ -313,12 +312,13 @@ void route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
   out.signature = design_signature(out.point.topology);
   out.deadlock_free = !ctx.options.enforce_deadlock_freedom ||
                       is_deadlock_free(out.point.topology);
-  if (!out.deadlock_free) return;  // merge rejects it; skip the metrics
+  if (!out.deadlock_free) return outcome.pruned;  // merge rejects it; skip the metrics
   refine_intermediate_positions(out.point.topology, ctx.floorplan, ctx.spec);
   OBS_SPAN("compute_metrics");
   const obs::PhaseScope obs_phase(obs::Phase::kMetrics);
   out.point.metrics = compute_metrics(out.point.topology, ctx.spec,
                                       ctx.options.tech, ctx.options.link_width_bits);
+  return outcome.pruned;
 }
 
 }  // namespace
@@ -512,8 +512,7 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
       return out;
     }
     const CandidateOutcome& lead = *ref->outcome;
-    if (certify_delta_member(lead.point.topology,
-                             ring_positions(ctx.floorplan, cand.intermediate_switches),
+    if (certify_delta_member(ring_positions(ctx.floorplan, cand.intermediate_switches),
                              ctx.intermediate_params.freq_hz, ctx.spec, ropts,
                              *delta)) {
       out.status = lead.status;
@@ -539,9 +538,13 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
   // Pareto-bound pruning: reject before routing when the pre-routing floor
   // is already dominated, otherwise hand the bound to the router for
   // per-flow checks (see RouteBound / route_all_flows for the soundness
-  // restrictions around the fallback pass).
+  // restrictions around the fallback pass). A recording leader is never
+  // abandoned: it routes once, to the end, so that its members replay and
+  // skip against the full design, and reports the first dominated
+  // checkpoint as its own outcome.
   RouteBound rbound;
   double base_avg_lat = 0.0;
+  bool pruned = false;
   std::vector<double> min_lat;
   std::vector<double> ebit_floor;
   if (bound != nullptr) {
@@ -560,13 +563,15 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
       out.status = EvalStatus::kPruned;
       out.pruned_power_lb_w = base.power_w;
       out.pruned_latency_lb_cycles = base_avg_lat;
-      return out;
+      if (delta_record == nullptr) return out;
+      pruned = true;  // route once, with no bound attached
+    } else {
+      rbound.front = bound;
+      rbound.base_power_lb_w = base.power_w;
+      rbound.base_latency_sum_cycles = base.latency_sum_cycles;
+      rbound.min_flow_latency = &min_lat;
+      rbound.switch_ebit_floor = &ebit_floor;
     }
-    rbound.front = bound;
-    rbound.base_power_lb_w = base.power_w;
-    rbound.base_latency_sum_cycles = base.latency_sum_cycles;
-    rbound.min_flow_latency = &min_lat;
-    rbound.switch_ebit_floor = &ebit_floor;
   }
 
   ropts.max_ports.resize(out.point.topology.switches.size());
@@ -578,27 +583,14 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
             : ctx.island_params[static_cast<std::size_t>(isl)].max_sw_size;
   }
 
-  route_and_finish(ctx, out, ropts, scratch, bound != nullptr ? &rbound : nullptr,
-                   base_avg_lat, delta_record, delta);
-  if (delta_record != nullptr && cand.intermediate_switches == 0) {
-    if (out.status == EvalStatus::kRouted) {
-      delta_record->outcome = std::make_shared<const CandidateOutcome>(out);
-    } else if (out.status == EvalStatus::kPruned) {
-      // Pruned mid-routing: the record holds only a prefix. Finish an
-      // unbounded routing with the record attached so the group's members
-      // can replay (and skip) against the complete design; this
-      // candidate's own outcome stays the pruned one.
-      CandidateOutcome full;
-      full.point.switches_per_island = cand.switches_per_island;
-      build_switches(full.point.topology, ctx, parts, 0);
-      route_and_finish(ctx, full, ropts, scratch, nullptr, 0.0, delta_record,
-                       nullptr);
-      if (full.status == EvalStatus::kRouted) {
-        delta_record->outcome =
-            std::make_shared<const CandidateOutcome>(std::move(full));
-      }
-    }
+  pruned |= route_and_finish(ctx, out, ropts, scratch,
+                             rbound.front != nullptr ? &rbound : nullptr,
+                             base_avg_lat, delta_record, delta);
+  if (delta_record != nullptr && cand.intermediate_switches == 0 &&
+      out.status == EvalStatus::kRouted) {
+    delta_record->outcome = std::make_shared<const CandidateOutcome>(out);
   }
+  if (pruned) out.status = EvalStatus::kPruned;
   return out;
 }
 

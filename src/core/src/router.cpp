@@ -112,24 +112,26 @@ struct CostCoeffs {
   double ebit_base, ebit_per_port;
 };
 
-/// Power normalizer of the link cost: opening a "typical" link (quarter-chip
-/// wire at the design's peak flow bandwidth, with a FIFO). It reads every
-/// switch position, intermediates included, which is why delta replay is
-/// gated on it being bit-equal to the reference's. `ring` lists switch
-/// positions not (yet) in `topo`; the maximum does not depend on the order.
-double power_normalizer(const NocTopology& topo,
-                        const std::vector<floorplan::Point>& ring,
-                        const soc::SocSpec& spec, const models::Technology& tech) {
-  double max_bw = 0.0;
+/// Largest coordinate of a switch position of `topo`, at least 0 (the
+/// layout input of power_normalizer). A maximum does not depend on the
+/// order it is taken in, so positions outside `topo` extend it exactly.
+double layout_span(const NocTopology& topo) {
   double max_span = 0.0;
-  for (const soc::Flow& f : spec.flows) {
-    max_bw = std::max(max_bw, f.bandwidth_bits_per_s);
-  }
   for (const SwitchInst& s : topo.switches) {
     max_span = std::max({max_span, s.pos.x_mm, s.pos.y_mm});
   }
-  for (const floorplan::Point& p : ring) {
-    max_span = std::max({max_span, p.x_mm, p.y_mm});
+  return max_span;
+}
+
+/// Power normalizer of the link cost: opening a "typical" link (quarter-chip
+/// wire at the design's peak flow bandwidth, with a FIFO). Its layout input
+/// `max_span` covers every switch position, intermediates included, which
+/// is why delta replay is gated on it being bit-equal to the reference's.
+double power_normalizer(double max_span, const soc::SocSpec& spec,
+                        const models::Technology& tech) {
+  double max_bw = 0.0;
+  for (const soc::Flow& f : spec.flows) {
+    max_bw = std::max(max_bw, f.bandwidth_bits_per_s);
   }
   const double ref_len = std::max(0.5, max_span / 2.0);
   const double p_norm =
@@ -146,54 +148,50 @@ double power_normalizer(const NocTopology& topo,
 /// leaves more than 70x of that in reserve.
 constexpr double kCrossBoundMargin = 1e-12;
 
-/// The cross-island certificate of delta replay: a per-flow lower bound on
-/// every path through the intermediate VI, valid while no link touches the
-/// VI. link_admissible lets a flow from switch s in island A to switch d in
-/// island B use the VI only as a walk s ~>A u -> w ~>ring w' -> v ~>B d: A
-/// links into the VI, the VI links only into B, and nothing leads back.
-/// With no VI link open, u->w, every ring hop and w'->v must OPEN. A hop
-/// a->b costs alpha * p / p_norm + latpart with
+/// The cross-island certificate of delta replay: a per-flow lower bound LB0
+/// on every path through the intermediate VI that no ring can beat, valid
+/// while no link touches the VI. link_admissible lets a flow from switch s
+/// in island A to switch d in island B use the VI only as a walk
+/// s ~>A u -> w ~>ring w' -> v ~>B d: A links into the VI, the VI links
+/// only into B, and nothing leads back. With no VI link open, u->w, every
+/// ring hop and w'->v must OPEN. A hop a->b costs alpha * p / p_norm +
+/// latpart with
 ///   p = bw * (link_dyn * len + ebit(b) [+ fifo_dyn])          every hop,
 ///     + idle * (f_a + f_b) + link_leak * len * width [+ fifo_leak]
 ///                                                         when it opens,
 /// bracketed terms on crossings only. Every term is non-negative, and
-/// ebit(b) is at least its core-only value (it only grows as ports open).
-/// Summing over the walk and dropping every other term:
-///  * every hop pays bw * link_dyn * len, and by the triangle inequality on
-///    Manhattan lengths M the walk is at least M(s,w) + M(w,d) long, so at
-///    least Dmin(s,d) = min_w M(s,w) + M(w,d);
+/// ebit(b) is at least its core-less value ebit(0) (it only grows with
+/// ports). Summing over the walk and dropping every other term, with the
+/// triangle inequality on Manhattan lengths M:
+///  * every hop pays bw * link_dyn * len, and the walk is at least M(s,d)
+///    long;
 ///  * the two crossings pay 2 * (bw * fifo_dyn + fifo_leak + latpart_cross)
-///    and the crossbar energy of w and v, at least ebit_min(VI) +
-///    ebit_min(B), and they open ports clocked at least at f_A, f_VI,min
-///    (twice) and f_B;
-///  * the opened hops are at least M(u,w) + M(w,v) long, so at least
-///    G(A,B) = min_w minlen(A,w) + minlen(w,B), where minlen(X,w) is the
-///    shortest Manhattan length from w to a switch of island X.
-/// If the reference's exact distance dist_ref is strictly below the bound
-/// (less the kCrossBoundMargin slack), no walk through the VI reaches a
-/// node of the recorded path at a cost <= that node's recorded distance:
-/// such a walk ends in B, and extending it along the recorded path (which
-/// stays in B from there) would reach d at a cost <= dist_ref. VI walks
-/// reach no node of A, and a relaxation updates only on a strict
-/// improvement, so every node of the recorded path keeps its distance and
-/// predecessor: the live Dijkstra picks the recorded hops, the same
-/// reuse-vs-open choices and the same tie order (see README). The bound
-/// reads only the UNROUTED topology, so one instance serves a whole pass,
-/// at O(k_int) per flow. The ring is `topo`'s VI switches followed by
-/// `ring`: positions of core-less VI switches at `ring_freq_hz` that are not
-/// in `topo`, which is how a member is certified from its reference's
-/// topology without being built (the Router passes none).
+///    and the crossbar energy of w and v, at least ebit(0) + ebit_min(B),
+///    and they open ports clocked at least at f_A, f_VI (twice) and f_B;
+///  * the opened hops lead from u in A to v in B, so they are at least
+///    Gdir(A,B) = min over a in A, b in B of M(a,b) long.
+/// If the reference's exact distance dist_ref is strictly below LB0 (less
+/// the kCrossBoundMargin slack), no walk through the VI reaches a node of
+/// the recorded path at a cost <= that node's recorded distance: such a
+/// walk ends in B, and extending it along the recorded path (which stays
+/// in B from there) would reach d at a cost <= dist_ref. VI walks reach no
+/// node of A, and a relaxation updates only on a strict improvement, so
+/// every node of the recorded path keeps its distance and predecessor: the
+/// live Dijkstra picks the recorded hops, the same reuse-vs-open choices
+/// and the same tie order (see README). LB0 reads only the island switches
+/// of the UNROUTED topology, which every candidate of a delta group shares,
+/// and f_VI, never the ring: the recording run takes each verdict once
+/// (DeltaRouteRec::certified) for every member whose ring runs at f_VI or
+/// faster.
 struct CrossIslandBound {
-  std::size_t n_ring = 0;
-  /// M(u, w) per switch u and VI switch w, switches x n_ring.
-  std::vector<double> ring_len;
-  /// Per destination island B: bw-proportional crossing terms,
-  /// 2 * fifo_dyn + ebit_min(VI) + ebit_min(B).
+  /// Per destination island B: 2 * fifo_dyn + ebit(0) + ebit_min(B).
   std::vector<double> cross_slope;
   /// Per island pair (A, B), n_islands x n_islands: the opening terms,
-  /// idle * (f_A + 2 * f_VI,min + f_B) + 2 * fifo_leak
-  ///   + link_leak * width * G(A,B).
+  /// idle * (f_A + 2 * f_VI + f_B) + 2 * fifo_leak
+  ///   + link_leak * width * Gdir(A,B).
   std::vector<double> open_floor;
+  const double* hop_len = nullptr;  ///< M, n_sw x n_sw
+  std::size_t n_sw = 0;
   std::size_t n_islands = 0;
   double scale = 0.0;  ///< alpha / p_norm
   double link_dyn = 0.0;
@@ -201,86 +199,62 @@ struct CrossIslandBound {
   double hop_lat_cross = 0.0;
 
   CrossIslandBound() = default;
-  CrossIslandBound(const NocTopology& topo,
-                   const std::vector<floorplan::Point>& ring,
-                   double ring_freq_hz, std::size_t n_isl,
-                   const RouterOptions& opts, const CostCoeffs& k,
-                   double p_norm)
-      : n_islands(n_isl),
+  CrossIslandBound(const NocTopology& topo, const std::vector<double>& len,
+                   std::size_t n_isl, const RouterOptions& opts,
+                   const CostCoeffs& k, double p_norm)
+      : hop_len(len.data()),
+        n_sw(topo.switches.size()),
+        n_islands(n_isl),
         scale(opts.alpha_power / p_norm),
         link_dyn(k.link_dyn),
         alpha(opts.alpha_power),
         hop_lat_cross(k.hop_lat_cross) {
-    std::vector<floorplan::Point> ring_pos;
-    for (const SwitchInst& w : topo.switches) {
-      if (w.island == kIntermediateIsland) ring_pos.push_back(w.pos);
-    }
-    ring_pos.insert(ring_pos.end(), ring.begin(), ring.end());
-    const std::size_t nr = ring_pos.size();
-    n_ring = nr;
-    ring_len.assign(topo.switches.size() * nr, kInf);
-    // Per island (the VI in slot n_isl): minimum frequency and core-only
-    // crossbar energy; per real island and VI switch: minlen.
-    std::vector<double> freq_min(n_isl + 1, kInf);
-    std::vector<double> ebit_min(n_isl + 1, kInf);
-    std::vector<double> minlen(n_isl * nr, kInf);
-    if (!ring.empty()) {
-      freq_min[n_isl] = ring_freq_hz;
-      ebit_min[n_isl] = k.ebit(0);
-    }
-    for (std::size_t u = 0; u < topo.switches.size(); ++u) {
+    // Per island (`topo` has no VI switches): minimum frequency and
+    // core-only crossbar energy; per island pair: the closest switch pair.
+    std::vector<double> freq_min(n_isl, kInf);
+    std::vector<double> ebit_min(n_isl, kInf);
+    std::vector<double> gap(n_isl * n_isl, kInf);
+    for (std::size_t u = 0; u < n_sw; ++u) {
       const SwitchInst& sw = topo.switches[u];
-      const std::size_t i = sw.island == kIntermediateIsland
-                                ? n_isl
-                                : static_cast<std::size_t>(sw.island);
-      if (i > n_isl) continue;
-      freq_min[i] = std::min(freq_min[i], sw.freq_hz);
-      ebit_min[i] =
-          std::min(ebit_min[i], k.ebit(static_cast<int>(sw.cores.size())));
-      if (i == n_isl) continue;
-      for (std::size_t r = 0; r < nr; ++r) {
-        const double len = floorplan::manhattan_mm(sw.pos, ring_pos[r]);
-        ring_len[u * nr + r] = len;
-        minlen[i * nr + r] = std::min(minlen[i * nr + r], len);
+      const auto a = static_cast<std::size_t>(sw.island);
+      freq_min[a] = std::min(freq_min[a], sw.freq_hz);
+      ebit_min[a] = std::min(ebit_min[a], k.ebit(static_cast<int>(sw.cores.size())));
+      for (std::size_t v = 0; v < n_sw; ++v) {
+        const auto b = static_cast<std::size_t>(topo.switches[v].island);
+        if (b == a) continue;
+        gap[a * n_isl + b] = std::min(gap[a * n_isl + b], hop_len[u * n_sw + v]);
       }
     }
     const double width = static_cast<double>(opts.link_width_bits);
+    const double f_vi = topo.intermediate_freq_hz;
     cross_slope.assign(n_isl, 0.0);
     open_floor.assign(n_isl * n_isl, kInf);
     for (std::size_t b = 0; b < n_isl; ++b) {
-      cross_slope[b] = 2.0 * k.fifo_dyn + ebit_min[n_isl] + ebit_min[b];
+      cross_slope[b] = 2.0 * k.fifo_dyn + k.ebit(0) + ebit_min[b];
     }
     for (std::size_t a = 0; a < n_isl; ++a) {
       for (std::size_t b = 0; b < n_isl; ++b) {
-        double gap = kInf;
-        for (std::size_t r = 0; r < nr; ++r) {
-          gap = std::min(gap, minlen[a * nr + r] + minlen[b * nr + r]);
-        }
         open_floor[a * n_isl + b] =
-            k.idle_w_per_hz * (freq_min[a] + 2.0 * freq_min[n_isl] + freq_min[b]) +
-            2.0 * k.fifo_leak + k.link_leak * width * gap;
+            k.idle_w_per_hz * (freq_min[a] + 2.0 * f_vi + freq_min[b]) +
+            2.0 * k.fifo_leak + k.link_leak * width * gap[a * n_isl + b];
       }
     }
   }
 
   /// True when `dist_ref` (the reference's exact destination distance of
   /// `flow`, from switch `s` in island a to switch `d` in island b) is
-  /// strictly below every path through the VI. NaN never certifies.
+  /// strictly below LB0. NaN never certifies.
   [[nodiscard]] bool certifies(double dist_ref, const soc::Flow& flow,
                                soc::IslandId a, soc::IslandId b, int s,
                                int d) const {
-    const double* to_s = ring_len.data() + static_cast<std::size_t>(s) * n_ring;
-    const double* to_d = ring_len.data() + static_cast<std::size_t>(d) * n_ring;
-    double dmin = kInf;
-    for (std::size_t r = 0; r < n_ring; ++r) {
-      dmin = std::min(dmin, to_s[r] + to_d[r]);
-    }
+    const double m = hop_len[static_cast<std::size_t>(s) * n_sw +
+                             static_cast<std::size_t>(d)];
     const auto ia = static_cast<std::size_t>(a);
     const auto ib = static_cast<std::size_t>(b);
     const double bw = flow.bandwidth_bits_per_s;
     const double lat = (1.0 - alpha) * (hop_lat_cross / flow.max_latency_cycles);
     const double lb =
-        scale * (bw * (link_dyn * dmin + cross_slope[ib]) +
+        scale * (bw * (link_dyn * m + cross_slope[ib]) +
                  open_floor[ia * n_islands + ib]) +
         2.0 * lat;
     return dist_ref < lb * (1.0 - kCrossBoundMargin);
@@ -319,7 +293,8 @@ class Router {
       scratch_.ports_out[s] = scratch_.ports_in[s];
     }
     scratch_.link_at.assign(n_sw * n_sw, -1);
-    p_norm_ = power_normalizer(topo_, {}, spec_, opts_.tech);
+    norm_span_ = layout_span(topo_);
+    p_norm_ = power_normalizer(norm_span_, spec_, opts_.tech);
 
     // Per-switch geometry hoisted out of the edge-cost inner loop.
     scratch_.max_wire_len.assign(n_sw, 0.0);
@@ -336,16 +311,22 @@ class Router {
     scratch_.island_of.assign(n_sw, 0);
     scratch_.freq_of.assign(n_sw, 0.0);
     scratch_.ebit_of.assign(n_sw, 0.0);
-    bool has_intermediate = false;
+    double ring_freq = kInf;  // slowest intermediate switch
     for (std::size_t s = 0; s < n_sw; ++s) {
       scratch_.island_of[s] = topo_.switches[s].island;
       scratch_.freq_of[s] = topo_.switches[s].freq_hz;
       refresh_ebit(static_cast<int>(s));
-      has_intermediate |= topo_.switches[s].island == kIntermediateIsland;
+      if (topo_.switches[s].island == kIntermediateIsland) {
+        ring_freq = std::min(ring_freq, scratch_.freq_of[s]);
+      }
     }
     // A recorded distance certifies cross-island replays only when it came
     // from a Dijkstra without intermediate switches (see CrossIslandBound).
-    rec_dist_ok_ = !has_intermediate;
+    rec_dist_ok_ = ring_freq == kInf;
+    if (rec_out_ != nullptr && rec_dist_ok_) {
+      cross_bound_ = CrossIslandBound(topo_, scratch_.geometry.hop_len,
+                                      spec.islands.size(), opts_, k_, p_norm_);
+    }
 
     if (bound_ != nullptr && bound_->front != nullptr) {
       power_lb_ = bound_->base_power_lb_w;
@@ -398,19 +379,16 @@ class Router {
     // island's decisions are input-identical to the reference's. Each pass
     // re-arms with a fresh taint vector (pass 2 restarts from a pristine
     // topology compared against the same pass-1 records). Cross-island
-    // replay additionally needs pass 1's rules (the records' rules) and the
-    // certificate's bound on paths through the intermediate VI.
+    // replay additionally needs pass 1's rules (the records' rules) and a
+    // ring no slower than the one the records' verdicts assume.
     if (delta_ != nullptr) {
-      delta_->pnorm_matched = delta_->ref != nullptr && delta_->ref->valid &&
-                              delta_->ref->p_norm == p_norm_;
+      const DeltaReference* ref = delta_->ref;
+      delta_->pnorm_matched =
+          ref != nullptr && ref->valid && ref->p_norm == p_norm_;
       delta_apply_ = delta_->pnorm_matched;
       if (delta_apply_) {
         delta_->island_tainted.assign(spec.islands.size(), 0);
-        cross_armed_ = !opts_.forbid_direct_cross;
-        if (cross_armed_) {
-          cross_bound_ = CrossIslandBound(topo_, {}, 0.0, spec.islands.size(),
-                                          opts_, k_, p_norm_);
-        }
+        cross_armed_ = !opts_.forbid_direct_cross && ring_freq >= ref->vi_freq_hz;
       }
     }
 
@@ -418,6 +396,7 @@ class Router {
   }
 
   [[nodiscard]] double p_norm() const { return p_norm_; }
+  [[nodiscard]] double norm_span() const { return norm_span_; }
 
   RouteOutcome run() {
     topo_.routes.assign(spec_.flows.size(), FlowRoute{});
@@ -443,17 +422,10 @@ class Router {
       const bool ok = delta_apply_ && pos < delta_->ref->records.size()
                           ? delta_route_flow(pos, f, outcome)
                           : route_flow(f, outcome);
-      if (ok && rec_out_ != nullptr) {
-        // Pure observation: the routed hop sequence, reconstructed from the
-        // finished route (a link was opened by this flow iff the flow is
-        // its first user), and the Dijkstra's destination distance.
-        DeltaRouteRec& rec = rec_out_->records.emplace_back();
-        reconstruct_hops(f, rec.hops);
-        rec.dist = rec_dist_ok_ ? last_dist_ : kNaN;
-      }
+      if (ok && rec_out_ != nullptr) record_flow(f);
       if (!ok) return outcome;
       ++outcome.flows_routed;
-      if (bounding) {
+      if (bounding && !outcome.pruned) {
         // Replace this flow's minimum latency with its exact final latency
         // (routes never change after routing) — both bounds stay monotone
         // lower bounds on the finished design's metrics.
@@ -465,12 +437,13 @@ class Router {
           outcome.bound_checked = true;
           outcome.pruned_power_lb_w = power_lb_;
           outcome.pruned_latency_lb_cycles = avg_lb;
-          return outcome;
+          // A recording pass routes on for the group's members.
+          if (rec_out_ == nullptr) return outcome;
         }
       }
     }
     outcome.success = true;
-    if (bounding) {
+    if (bounding && !outcome.pruned) {
       // Expose the last-checkpoint bounds: the merge stage re-checks them
       // against the enumeration-ordered front to decide whether a
       // sequential run (with a possibly richer front than our snapshot)
@@ -887,6 +860,26 @@ class Router {
     return true;
   }
 
+  /// Pure observation of a routed flow: its hop sequence, the Dijkstra's
+  /// destination distance and, for a cross-island flow, the certificate's
+  /// verdict, plus the reference's summary of them.
+  void record_flow(std::size_t f) {
+    DeltaRouteRec& rec = rec_out_->records.emplace_back();
+    reconstruct_hops(f, rec.hops);
+    rec.dist = rec_dist_ok_ ? last_dist_ : kNaN;
+    if (rec.hops.empty()) return;  // trivial: never replayed
+    ++rec_out_->replayable;
+    const soc::Flow& flow = spec_.flows[f];
+    const soc::IslandId a = spec_.cores[static_cast<std::size_t>(flow.src)].island;
+    const soc::IslandId b = spec_.cores[static_cast<std::size_t>(flow.dst)].island;
+    if (a == b) return;
+    const FlowRoute& route = topo_.routes[f];
+    rec.certified = rec_dist_ok_ &&
+                    cross_bound_.certifies(rec.dist, flow, a, b, route.src_switch,
+                                           route.dst_switch);
+    rec_out_->cross_certified &= rec.certified;
+  }
+
   /// Rebuilds the hop sequence of a FINISHED route in path order: endpoint
   /// switch ids per link plus whether THIS flow opened the link (it did iff
   /// it is the link's first user — links record their users in routing
@@ -988,9 +981,8 @@ class Router {
 
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
   /// replay the record: intra-island flows of an in-sync island, and —
-  /// pass 1 only — cross-island flows between in-sync islands while no
-  /// link touches the intermediate VI, whose recorded distance beats the
-  /// CrossIslandBound.
+  /// pass 1 only — certified cross-island flows between in-sync islands
+  /// while no link touches the intermediate VI.
   /// AFFECTED flows — tainted islands, a touched VI, a certificate miss —
   /// route live; a live cross route whose hop sequence differs from the
   /// record's ends reuse for every island either sequence touches.
@@ -1014,9 +1006,7 @@ class Router {
     const bool in_sync =
         tainted[static_cast<std::size_t>(src_isl)] == 0 &&
         (intra || (cross_armed_ && !intermediate_touched_ &&
-                   tainted[static_cast<std::size_t>(dst_isl)] == 0 &&
-                   cross_bound_.certifies(rec.dist, flow, src_isl, dst_isl,
-                                          s_sw, d_sw)));
+                   tainted[static_cast<std::size_t>(dst_isl)] == 0 && rec.certified));
     if (in_sync) {
       const int replayed = replay_recorded_flow(flow_idx, rec, s_sw, d_sw, outcome);
       if (replayed >= 0) {
@@ -1098,12 +1088,13 @@ class Router {
   bool delta_apply_ = false;  ///< delta armed: reference valid, p_norm equal
   bool cross_armed_ = false;  ///< cross-island replay possible (pass 1)
   bool intermediate_touched_ = false;  ///< a link opened at a VI switch
-  CrossIslandBound cross_bound_;       ///< valid when cross_armed_
+  CrossIslandBound cross_bound_;  ///< built when recording with rec_dist_ok_
   bool rec_dist_ok_ = false;  ///< recorded distances are certificate inputs
   double last_dist_ = kNaN;   ///< destination distance of the last Dijkstra
   const CostCoeffs k_;
   std::size_t n_ = 0;
   double p_norm_ = 1.0;
+  double norm_span_ = 0.0;  ///< layout input of p_norm_
   // Admissible-subset iteration (see route_flow).
   std::vector<int> island_begin_;
   std::vector<int> island_end_;
@@ -1185,6 +1176,10 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   if (record != nullptr) {
     record->records.clear();
     record->p_norm = 0.0;
+    record->norm_span = 0.0;
+    record->vi_freq_hz = topo.intermediate_freq_hz;
+    record->replayable = 0;
+    record->cross_certified = true;
     record->valid = false;
   }
   if (delta != nullptr) delta->clear_outputs();
@@ -1208,11 +1203,11 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
     // Recording observes pass 1 only: the records describe the greedy
     // pass's trajectory, which is exactly what a consumer's pass 1 (and,
     // for intra-island flows, its pass 2) must be compared against. A
-    // reference that fails or prunes mid-pass still leaves a usable
-    // routed prefix.
+    // reference that fails mid-pass still leaves a usable routed prefix.
     Router router(topo, spec, options, sc, pass1_bound, record, delta);
     if (record != nullptr) {
       record->p_norm = router.p_norm();
+      record->norm_span = router.norm_span();
       record->valid = true;
     }
     first = router.run();
@@ -1239,47 +1234,28 @@ RouteOutcome route_all_flows(NocTopology& topo, const soc::SocSpec& spec,
   return second;
 }
 
-bool certify_delta_member(const NocTopology& ref_topo,
-                          const std::vector<floorplan::Point>& ring,
+bool certify_delta_member(const std::vector<floorplan::Point>& ring,
                           double ring_freq_hz, const soc::SocSpec& spec,
                           const RouterOptions& options, DeltaRouteState& delta) {
   const DeltaReference* ref = delta.ref;
   if (ref == nullptr || !ref->valid || options.forbid_direct_cross ||
-      ref->records.size() != spec.flows.size()) {
+      ref->records.size() != spec.flows.size() || !ref->cross_certified ||
+      !(ring_freq_hz >= ref->vi_freq_hz)) {
     return false;
   }
-  const double p_norm = power_normalizer(ref_topo, ring, spec, options.tech);
-  if (p_norm != ref->p_norm) return false;
-  const CrossIslandBound bound(ref_topo, ring, ring_freq_hz, spec.islands.size(),
-                               options, CostCoeffs(options.tech), p_norm);
-  std::vector<std::size_t> local_order;
-  const std::vector<std::size_t>* order = options.flow_order;
-  if (order == nullptr) {
-    local_order = bandwidth_descending_order(spec);
-    order = &local_order;
-  }
   // Nothing is tainted and no VI link opens while every flow replays, so
-  // each flow's replay condition reduces to its static part.
-  int replayed = 0;
-  for (std::size_t pos = 0; pos < order->size(); ++pos) {
-    const soc::Flow& flow = spec.flows[(*order)[pos]];
-    const int s_sw = ref_topo.switch_of_core[static_cast<std::size_t>(flow.src)];
-    const int d_sw = ref_topo.switch_of_core[static_cast<std::size_t>(flow.dst)];
-    if (s_sw == d_sw) {
-      continue;  // trivial: routed live and uncounted by the replay too
-    }
-    ++replayed;
-    const soc::IslandId a = spec.cores[static_cast<std::size_t>(flow.src)].island;
-    const soc::IslandId b = spec.cores[static_cast<std::size_t>(flow.dst)].island;
-    if (a != b &&
-        !bound.certifies(ref->records[pos].dist, flow, a, b, s_sw, d_sw)) {
-      return false;
-    }
+  // each flow's replay condition reduces to its verdict; what is left is
+  // the normalizer, whose layout input the ring may extend.
+  double span = ref->norm_span;
+  for (const floorplan::Point& p : ring) span = std::max({span, p.x_mm, p.y_mm});
+  if (span != ref->norm_span &&
+      power_normalizer(span, spec, options.tech) != ref->p_norm) {
+    return false;
   }
   delta.clear_outputs();
   delta.pnorm_matched = true;
   delta.member_skipped = true;
-  delta.flows_reused = replayed;
+  delta.flows_reused = ref->replayable;
   return true;
 }
 

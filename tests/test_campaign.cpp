@@ -59,6 +59,9 @@ TEST(CampaignSpec, ExpansionIsDeterministicAndOrdered) {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].name, again[i].name);
     EXPECT_EQ(jobs[i].key, again[i].key);
+    // Both keys come from one spec hash, equal to hashing from scratch.
+    EXPECT_EQ(jobs[i].key, job_key(jobs[i].spec, jobs[i].options));
+    EXPECT_EQ(jobs[i].structure_key, structure_key(jobs[i].spec, jobs[i].options));
   }
 }
 

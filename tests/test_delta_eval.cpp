@@ -5,13 +5,14 @@
 // of a topology, and skipped members' points are copied from a shared
 // outcome), reuse-counter sanity, delta tallies that do not depend on the
 // thread count (one strand runs each group, its reference first), the
-// pinned d64/l2 outcome ledger and skip count,
-// skipped members' bound checkpoints, the d64/l4 fine sweep's ledger with
-// every member skipped, the cross-island certificate's miss path, and
-// composition with the width sweep on both the default and fine width
-// grids. Both sides of these comparisons share the engine's router;
-// test_reference checks delta-on results against the independent
-// Algorithm 1 oracle instead.
+// pinned d64/l2 outcome ledger and skip count, skipped members' bound
+// checkpoints, the d64/l4 fine sweep's ledger with every member skipped,
+// the delta tallies of the synthetic 64- and 128-core SoCs, pruned
+// recording leaders (which route once, to the end), the cross-island
+// certificate's miss path, and composition with the width sweep on both
+// the default and fine width grids. Both sides of these comparisons share
+// the engine's router; test_reference checks delta-on results against the
+// independent Algorithm 1 oracle instead.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -438,15 +439,16 @@ TEST(DeltaEval, CrossCertificateMissesRouteLive) {
   EXPECT_GT(partial, 0);
   ASSERT_NE(skip_ref, nullptr);
 
-  // Forced miss: the first cross-island flow's recorded distance can no
-  // longer beat any bound.
+  // Forced miss: the first cross-island flow's verdict flips.
   DeltaReference poisoned = *skip_ref;
   std::size_t pos = 0;
   while (spec.cores[static_cast<std::size_t>(spec.flows[order[pos]].src)].island ==
          spec.cores[static_cast<std::size_t>(spec.flows[order[pos]].dst)].island) {
     ++pos;
   }
-  poisoned.records[pos].dist = 1e300;
+  ASSERT_TRUE(poisoned.records[pos].certified);
+  poisoned.records[pos].certified = false;
+  poisoned.cross_certified = false;
   scratch.delta.ref = &poisoned;
   const CandidateOutcome out = evaluate_candidate(ctx, cands[skip_member], &scratch,
                                                   nullptr, nullptr, &scratch.delta);
@@ -455,6 +457,119 @@ TEST(DeltaEval, CrossCertificateMissesRouteLive) {
   EXPECT_EQ(scratch.delta.flows_rerouted, 1);
   EXPECT_GT(scratch.delta.flows_reused, 0);
   expect_same(out, skip_member);
+}
+
+/// Drives one width of synthesize()'s delta-group wiring at threads 1 with
+/// prune on — each group's leader records, its members replay, and every
+/// routed deadlock-free outcome joins the front the next candidate is
+/// checked against — and checks every PRUNED recording leader against
+/// plain evaluations: its own outcome against a bounded one, its published
+/// design against an unbounded one and its records against an unbounded
+/// recording run. Returns the number of pruned leaders.
+int check_pruned_leaders(const Stage& st) {
+  ParetoBound front;
+  EvalScratch scratch;
+  std::shared_ptr<DeltaReference> ref;
+  int pruned = 0;
+  for (std::size_t i = 0; i < st.cands.size(); ++i) {
+    const bool lone = st.leader(i) && (i + 1 == st.cands.size() || st.leader(i + 1));
+    CandidateOutcome out;
+    if (st.leader(i)) {
+      ref = lone ? nullptr : std::make_shared<DeltaReference>();
+      out = evaluate_candidate(st.ctx, st.cands[i], &scratch, &front, ref.get());
+    } else {
+      scratch.delta.ref = ref->valid ? ref.get() : nullptr;
+      out = evaluate_candidate(st.ctx, st.cands[i], &scratch, &front, nullptr,
+                               ref->valid ? &scratch.delta : nullptr);
+      scratch.delta.ref = nullptr;
+    }
+    if (st.leader(i) && !lone && out.status == EvalStatus::kPruned) {
+      ++pruned;
+      SCOPED_TRACE(testing::Message() << "leader " << i);
+      const CandidateOutcome bounded =
+          evaluate_candidate(st.ctx, st.cands[i], nullptr, &front);
+      EXPECT_EQ(bounded.status, EvalStatus::kPruned);
+      EXPECT_EQ(bits(out.pruned_power_lb_w), bits(bounded.pruned_power_lb_w));
+      EXPECT_EQ(bits(out.pruned_latency_lb_cycles),
+                bits(bounded.pruned_latency_lb_cycles));
+      DeltaReference plain_rec;
+      const CandidateOutcome full =
+          evaluate_candidate(st.ctx, st.cands[i], nullptr, nullptr, &plain_rec);
+      if (full.status == EvalStatus::kRouted) {
+        EXPECT_TRUE(ref->valid);
+        if (ref->outcome == nullptr) {
+          ADD_FAILURE() << "nothing published";
+        } else {
+          EXPECT_EQ(ref->outcome->status, full.status);
+          EXPECT_EQ(ref->outcome->signature, full.signature);
+          EXPECT_EQ(bits(ref->outcome->point.metrics.noc_dynamic_w),
+                    bits(full.point.metrics.noc_dynamic_w));
+          EXPECT_EQ(bits(ref->outcome->point.metrics.avg_latency_cycles),
+                    bits(full.point.metrics.avg_latency_cycles));
+        }
+      } else {
+        EXPECT_EQ(ref->outcome, nullptr);
+      }
+      EXPECT_EQ(ref->p_norm, plain_rec.p_norm);
+      EXPECT_EQ(ref->cross_certified, plain_rec.cross_certified);
+      EXPECT_EQ(ref->replayable, plain_rec.replayable);
+      EXPECT_EQ(ref->records.size(), plain_rec.records.size());
+      for (std::size_t r = 0; r < ref->records.size() && r < plain_rec.records.size();
+           ++r) {
+        const DeltaRouteRec& a = ref->records[r];
+        const DeltaRouteRec& b = plain_rec.records[r];
+        EXPECT_EQ(a.hops, b.hops) << "record " << r;
+        EXPECT_EQ(bits(a.dist), bits(b.dist)) << "record " << r;
+        EXPECT_EQ(a.certified, b.certified) << "record " << r;
+      }
+    }
+    if (out.status == EvalStatus::kRouted && out.deadlock_free) {
+      front.insert(out.point.metrics.noc_dynamic_w, out.point.metrics.avg_latency_cycles);
+    }
+  }
+  return pruned;
+}
+
+TEST(DeltaEval, PrunedRecordingLeaderRoutesOnce) {
+  // A pruned leader reports its first dominated checkpoint, exactly as a
+  // plain bounded evaluation does, but routes to the end so its members
+  // replay against the full design it publishes.
+  EXPECT_EQ(check_pruned_leaders(Stage(islanded(soc::make_d64_tile_soc(), 2))), 12);
+  // A campaign-mix SoC (the 24-core synthetic family at seed 1).
+  soc::SyntheticParams params;
+  params.cores = 24;
+  params.hubs = 3;
+  params.seed = 1;
+  const soc::Benchmark bm = soc::make_synthetic_soc(params);
+  EXPECT_GT(check_pruned_leaders(Stage(islanded(bm, 3))), 0);
+}
+
+TEST(DeltaEval, SyntheticSocTalliesArePinned) {
+  // The per-flow verdicts the leaders take must accept exactly what the
+  // ring-dependent bound they replaced accepted: every member it skipped is
+  // skipped, and every flow it replayed is replayed. Synthetic SoCs with
+  // hubs 4, seed 7, 4 logical islands, partition seed 1, threads 1.
+  struct Case {
+    int cores, width, skipped;
+    long long reused, rerouted;
+  };
+  for (const Case& c : {Case{64, 32, 1260, 187344, 612}, Case{64, 128, 1296, 191592, 0},
+                        Case{128, 32, 5475, 1726650, 4500}}) {
+    soc::SyntheticParams params;
+    params.cores = c.cores;
+    params.hubs = 4;
+    params.seed = 7;
+    const soc::SocSpec spec = islanded(soc::make_synthetic_soc(params), 4);
+    SynthesisOptions opt;
+    opt.threads = 1;
+    opt.partition_seed = 1;
+    opt.link_width_bits = c.width;
+    const SynthesisStats s = synthesize(spec, opt).stats;
+    SCOPED_TRACE(testing::Message() << "c" << c.cores << " w" << c.width);
+    EXPECT_EQ(s.delta_members_skipped, c.skipped);
+    EXPECT_EQ(s.delta_flows_reused, c.reused);
+    EXPECT_EQ(s.delta_flows_rerouted, c.rerouted);
+  }
 }
 
 TEST(DeltaEval, ReuseRateIsMeaningfulOnSeedBenchmarks) {
