@@ -9,8 +9,9 @@
 // result_fingerprint equals its per-width counterpart (exits non-zero on
 // mismatch — the speedup number is only meaningful if the results are
 // bit-identical). It also exits non-zero unless the quick grid's delta
-// tallies, with pruning off, are the same at threads 1 and 4: one strand
-// evaluates each delta group, so replay must not depend on the schedule.
+// tallies and router work counters, with pruning off, are the same at
+// threads 1 and 4: one strand evaluates each delta group, so replay and
+// routing work must not depend on the schedule.
 //
 // One JSON line between the BEGIN/END JSONL markers; the perf-smoke job
 // feeds it to tools/bench_check against bench/baseline.json (the
@@ -130,11 +131,12 @@ AbResult timed_ab(bench::FatRunner& runner, const Case& c,
 }
 
 /// Untimed guardrail: the delta tallies (candidates, flows reused and
-/// rerouted, members skipped) of the quick grid with pruning off must not
-/// depend on the thread count, else the bench exits non-zero. Pruning is
-/// off because a pruned member counts no delta work and its prune decision
-/// reads a schedule-dependent bound snapshot.
-void check_delta_tallies_thread_independent() {
+/// rerouted, members skipped) and the router work counters (expansions,
+/// relaxations) of the quick grid with pruning off must not depend on the
+/// thread count, else the bench exits non-zero. Pruning is off because a
+/// pruned member counts no delta work and its prune decision reads a
+/// schedule-dependent bound snapshot.
+void check_tallies_thread_independent() {
   std::vector<std::vector<long long>> tallies;
   for (const int threads : {1, 4}) {
     core::SynthesisOptions options;
@@ -142,17 +144,22 @@ void check_delta_tallies_thread_independent() {
     options.threads = threads;
     std::vector<long long> t;
     for (const Case& c : sweep_cases(true)) {
+      exec::ThreadPool pool(threads);
+      core::EvalScratchPool scratch;
       core::WidthSetStats st;
-      (void)core::explore_link_widths(c.spec, kWidths, options, &st);
+      (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
+      const core::RouterWork work = scratch.router_work();
       t.insert(t.end(), {st.delta_candidates, st.delta_flows_reused,
-                         st.delta_flows_rerouted, st.delta_members_skipped});
+                         st.delta_flows_rerouted, st.delta_members_skipped,
+                         work.expansions, work.relaxations});
     }
     tallies.push_back(std::move(t));
   }
   if (tallies[0] != tallies[1]) {
     std::fprintf(stderr,
-                 "bench_width_sweep: DELTA TALLIES DIFFER between threads 1 "
-                 "and 4 (prune off) — delta replay depends on the schedule\n");
+                 "bench_width_sweep: DELTA OR ROUTER TALLIES DIFFER between "
+                 "threads 1 and 4 (prune off) — the work depends on the "
+                 "schedule\n");
     std::exit(1);
   }
 }
@@ -161,7 +168,7 @@ void print_table(bool quick) {
   bench::print_header(
       "Width sweep: shared structures vs one synthesize() per width",
       "beyond the paper (sweep-structured evaluation of Algorithm 1)");
-  check_delta_tallies_thread_independent();
+  check_tallies_thread_independent();
   std::vector<Case> cases = sweep_cases(quick);
   core::SynthesisOptions options;  // threads = 1, prune on: the default path
   // Statistical measurement (bench/fat_runner.hpp): env-var-canonical
@@ -203,11 +210,13 @@ void print_table(bool quick) {
   long long flows_reused = 0;
   long long flows_rerouted = 0;
   int peak_buffered = 0;
+  core::RouterWork router_work;
   for (const Case& c : cases) {
     exec::ThreadPool pool(1);
     core::EvalScratchPool scratch;
     core::WidthSetStats st;
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
+    router_work += scratch.router_work();
     partition_hits += st.partition_cache_hits;
     members_skipped += st.delta_members_skipped;
     flows_reused += st.delta_flows_reused;
@@ -245,6 +254,14 @@ void print_table(bool quick) {
   bench::append_metric(
       w, "peak_buffered_outcomes",
       bench::exact_stat(static_cast<double>(peak_buffered), reps_floor));
+  // Router work of every live Dijkstra (deterministic at threads=1): a
+  // search that expands or relaxes more than before fails the exact gate.
+  bench::append_metric(
+      w, "router_expansions",
+      bench::exact_stat(static_cast<double>(router_work.expansions), reps_floor));
+  bench::append_metric(
+      w, "router_relaxations",
+      bench::exact_stat(static_cast<double>(router_work.relaxations), reps_floor));
   prov.append(w);
   bench::append_env_provenance(w);
   std::printf("%s\n", w.line().c_str());

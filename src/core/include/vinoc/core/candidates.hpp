@@ -191,6 +191,13 @@ class EvalScratchPool {
  public:
   [[nodiscard]] EvalScratch& local() { return slots_.local(); }
   [[nodiscard]] std::size_t slot_count() const { return slots_.slot_count(); }
+  /// The router work tallied by every slot. Call only while no strand is
+  /// evaluating through this pool.
+  [[nodiscard]] RouterWork router_work() const {
+    RouterWork sum;
+    slots_.for_each([&sum](const EvalScratch& es) { sum += es.router.work; });
+    return sum;
+  }
 
  private:
   exec::WorkerLocal<EvalScratch> slots_;

@@ -22,9 +22,10 @@
 // (monotone lower bounds on the final metrics checked against the current
 // Pareto front after every routed flow; see vinoc/core/prune.hpp).
 //
-// None of this machinery (scratch, geometry, SIMD filter, delta replay)
-// may change a result: tests/test_reference.cpp diffs the engine against
-// a plain dense-Dijkstra Algorithm 1 kept outside it (tests/reference/).
+// None of this machinery (scratch, geometry, SIMD filter, goal bound,
+// delta replay) may change a result: tests/test_reference.cpp diffs the
+// engine against a plain dense-Dijkstra Algorithm 1 kept outside it
+// (tests/reference/).
 #pragma once
 
 #include <cstddef>
@@ -113,6 +114,20 @@ struct RoutingGeometry {
   std::vector<FlowClass> classes;  ///< (n_islands + 1)^2 slots, lazily built
 };
 
+/// Deterministic work counters of the per-flow Dijkstra: nodes expanded
+/// (their admissible hops scanned) and hop costs evaluated (targets that
+/// survive the relaxation filter). Both depend only on the routing calls
+/// made, never on the thread that made them.
+struct RouterWork {
+  long long expansions = 0;
+  long long relaxations = 0;
+  RouterWork& operator+=(const RouterWork& o) {
+    expansions += o.expansions;
+    relaxations += o.relaxations;
+    return *this;
+  }
+};
+
 /// Reusable routing state. Buffers grow to the high-water mark of the
 /// topologies routed through them and are reset — not reallocated — per
 /// call; one instance per worker strand (see exec::WorkerLocal). Reusing
@@ -138,6 +153,9 @@ struct RouterScratch {
   /// by later calls on the same layout (the other widths of a candidate).
   RoutingGeometry geometry;
   NocTopology fallback;  ///< pristine pre-routing copy for the retry pass
+  /// Work tallies of every Dijkstra run through this scratch, accumulated
+  /// and never reset by the router. No result reads them.
+  RouterWork work;
 };
 
 /// One hop of a recorded reference route (see DeltaReference): the endpoint

@@ -140,13 +140,15 @@ double power_normalizer(double max_span, const soc::SocSpec& spec,
   return p_norm <= 0.0 ? 1e-3 : p_norm;
 }
 
-/// Relative slack of the cross-island certificate's strict comparison. Both
-/// sides sum the same non-negative terms in different association orders:
-/// a computed opening cost is within ~12 ulp (relative) of its real value,
-/// a path sum adds one rounding per hop of non-negative terms, and the
-/// bound itself rounds ~25 times — under 60 ulp (~1.4e-14) in all. 1e-12
-/// leaves more than 70x of that in reserve.
-constexpr double kCrossBoundMargin = 1e-12;
+/// Relative slack of the strict comparisons of the cross-island certificate
+/// and the goal bound. Both sides sum the same non-negative terms in
+/// different association orders: a computed hop cost is within ~12 ulp
+/// (relative) of its real value, a path sum adds one rounding per hop of
+/// non-negative terms, and a bound itself rounds ~25 times — under
+/// (40 + hops) ulp in all, ~1.4e-14 for the cross certificate's short
+/// walks. 1e-12 leaves 70x of that in reserve, and still covers paths of
+/// thousands of hops (a path visits each switch at most once).
+constexpr double kBoundMargin = 1e-12;
 
 /// The cross-island certificate of delta replay: a per-flow lower bound LB0
 /// on every path through the intermediate VI that no ring can beat, valid
@@ -171,7 +173,7 @@ constexpr double kCrossBoundMargin = 1e-12;
 ///  * the opened hops lead from u in A to v in B, so they are at least
 ///    Gdir(A,B) = min over a in A, b in B of M(a,b) long.
 /// If the reference's exact distance dist_ref is strictly below LB0 (less
-/// the kCrossBoundMargin slack), no walk through the VI reaches a node of
+/// the kBoundMargin slack), no walk through the VI reaches a node of
 /// the recorded path at a cost <= that node's recorded distance: such a
 /// walk ends in B, and extending it along the recorded path (which stays
 /// in B from there) would reach d at a cost <= dist_ref. VI walks reach no
@@ -257,8 +259,68 @@ struct CrossIslandBound {
         scale * (bw * (link_dyn * m + cross_slope[ib]) +
                  open_floor[ia * n_islands + ib]) +
         2.0 * lat;
-    return dist_ref < lb * (1.0 - kCrossBoundMargin);
+    return dist_ref < lb * (1.0 - kBoundMargin);
   }
+};
+
+/// The goal bound of route_flow: a lower bound LB(u) on the cost of every
+/// admissible path u ~> d of one flow's Dijkstra, from per-flow constants
+/// plus the Manhattan length M(u,d). A hop a->b costs
+/// alpha * p / p_norm + latpart with p as in CrossIslandBound: every term
+/// is non-negative, every hop pays bw * (link_dyn * len + ebit(b)) with
+/// ebit(b) >= ebit(0), and a crossing also pays bw * fifo_dyn and
+/// latpart_cross instead of latpart_intra. Dropping every other term:
+///  * the triangle inequality makes any path at least M(u,d) long;
+///  * it has h >= max(1, c) hops (u != d), c of them crossings;
+///  * c is 0 for u in d's island (a flow never leaves its destination
+///    island, and an intra flow never leaves its own), 2 from another
+///    island in the intermediate-retry pass (direct island-to-island runs
+///    are skipped, so the path enters and leaves the VI), and 1 otherwise.
+/// So
+///   LB(u) = alpha / p_norm * bw * (link_dyn * M(u,d) + h * ebit(0)
+///           + c * fifo_dyn) + c * latpart_cross + (h - c) * latpart_intra,
+/// where h - c is 1 for c = 0 and 0 otherwise. IEEE addition is monotone,
+/// so a path through u reaches d at no less than fl(dist_u + LB(u)), up to
+/// the kBoundMargin slack. When that is STRICTLY above d's tentative
+/// distance (which only falls), no relaxation from u can set the final
+/// distance or predecessor of any node on d's final path, not even by a
+/// tie: a relaxation only updates on a strict improvement, and a node
+/// whose relaxation ties for the final path reaches d at exactly its final
+/// distance, so it is never skipped. route_flow therefore marks u done
+/// without scanning its hops, and routes, DeltaRouteRec::dist, the cross
+/// verdicts and every result stay bit-identical (README, "Goal-bounded
+/// Dijkstra").
+struct GoalBound {
+  GoalBound(const CostCoeffs& k, double alpha, double p_norm, double bw,
+            double lat_intra, double lat_cross, const double* len_to_d,
+            const int* island, int d_island, bool forbid_direct_cross)
+      : len_to_d_(len_to_d),
+        island_(island),
+        d_island_(d_island),
+        two_crossings_(forbid_direct_cross && d_island != kIntermediateIsland),
+        scale_(alpha / p_norm * bw),
+        link_dyn_(k.link_dyn),
+        tail_{k.ebit(0), k.ebit(0) + k.fifo_dyn,
+              2.0 * (k.ebit(0) + k.fifo_dyn)},
+        lat_{lat_intra, lat_cross, 2.0 * lat_cross} {}
+
+  [[nodiscard]] double lb(std::size_t u) const {
+    const int isl = island_[u];
+    const int c = isl == d_island_
+                      ? 0
+                      : (two_crossings_ && isl != kIntermediateIsland ? 2 : 1);
+    return scale_ * (link_dyn_ * len_to_d_[u] + tail_[c]) + lat_[c];
+  }
+
+ private:
+  const double* len_to_d_;  ///< M(., d): row d of the symmetric hop lengths
+  const int* island_;
+  int d_island_;
+  bool two_crossings_;
+  double scale_;  ///< alpha / p_norm * bw
+  double link_dyn_;
+  double tail_[3];  ///< per crossing count c: h * ebit(0) + c * fifo_dyn
+  double lat_[3];   ///< per c: c * latpart_cross + (h - c) * latpart_intra
 };
 
 /// Mutable routing state over a topology under construction. All transient
@@ -266,7 +328,7 @@ struct CrossIslandBound {
 /// (assign, never shrink) so a sweep reuses one arena across candidates.
 ///
 /// The per-flow shortest-path search is a Dijkstra over the flow's
-/// admissible switches with two bit-exact accelerations:
+/// admissible switches with three bit-exact accelerations:
 ///  * EXTRACTION uses a lazy (dist, index) min-heap, which pops nodes in
 ///    exactly the order the dense lowest-dist-then-lowest-index scan would
 ///    select them (stale entries — a superseded dist or an already-done
@@ -275,8 +337,11 @@ struct CrossIslandBound {
 ///  * a RELAXATION is skipped outright when even the latency part of the
 ///    edge cost cannot beat dist[v]: the power part is non-negative and
 ///    IEEE addition is monotone, so the skipped relaxation provably would
-///    not have updated anything.
-/// Both leave results bit-identical to the naive dense loop.
+///    not have updated anything;
+///  * an EXPANSION is skipped when the goal bound (GoalBound) proves that
+///    no path through the extracted node can reach the destination at or
+///    below its tentative distance.
+/// All three leave results bit-identical to the naive dense loop.
 class Router {
  public:
   Router(NocTopology& topo, const soc::SocSpec& spec, const RouterOptions& opts,
@@ -710,6 +775,13 @@ class Router {
 
     const bool forbid = opts_.forbid_direct_cross;
     const double width = static_cast<double>(opts_.link_width_bits);
+    const auto ds = static_cast<std::size_t>(d_sw);
+    const GoalBound goal(k_, opts_.alpha_power, p_norm_, bw, lat_part_intra,
+                         lat_part_cross, &scratch_.geometry.hop_len[ds * n],
+                         scratch_.island_of.data(), scratch_.island_of[ds],
+                         forbid);
+    constexpr double kKeep = 1.0 - kBoundMargin;
+    RouterWork work;
     while (true) {
       // Extraction: lazy-heap pop == dense-scan argmin (see class comment).
       int u = -1;
@@ -728,6 +800,10 @@ class Router {
       const auto us = static_cast<std::size_t>(u);
       if (u == d_sw) break;
       dist[us] = -kInf;  // done: stales heap entries, trips relax filters
+      // Goal bound (see GoalBound): dist[d] is +inf until d is first
+      // relaxed, so nothing is skipped before then.
+      if ((dist_u + goal.lb(us)) * kKeep > dist[ds]) continue;
+      ++work.expansions;
 
       const double freq_u = scratch_.freq_of[us];
       const double wire_cap_u =
@@ -747,6 +823,7 @@ class Router {
         // Force-inlined: a call per surviving target costs ~8% of the whole
         // evaluation hot path.
         auto relax = [&](int v) VINOC_ALWAYS_INLINE {
+          ++work.relaxations;
           const auto vs = static_cast<std::size_t>(v);
           const double len = hop_row[vs];
           // Width-invariant part of the marginal power (wire + downstream
@@ -810,7 +887,8 @@ class Router {
       }
     }
 
-    last_dist_ = dist[static_cast<std::size_t>(d_sw)];
+    scratch_.work += work;
+    last_dist_ = dist[ds];
     if (!std::isfinite(last_dist_)) {
       outcome.failure_reason =
           "no admissible path for flow '" + flow.label + "'";

@@ -48,6 +48,14 @@ class WorkerLocal {
     return slots_.size();
   }
 
+  /// Calls `fn` on every slot created so far, in no particular order. Only
+  /// for use while no owning thread mutates its slot (after a fan-out).
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [id, slot] : slots_) fn(static_cast<const T&>(*slot));
+  }
+
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::thread::id, std::unique_ptr<T>> slots_;

@@ -254,15 +254,17 @@ TEST(DeltaEval, D64TwoIslandLedgerAndSkipsArePinned) {
   EXPECT_EQ(r.stats.delta_members_skipped, kD64L2Skips);
 }
 
-/// The four delta tallies of one run.
-using DeltaTallies = std::tuple<int, long long, long long, int>;
+/// The four delta tallies of one run, then its router work (expansions,
+/// relaxations).
+using DeltaTallies =
+    std::tuple<int, long long, long long, int, long long, long long>;
 
 TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
   // One strand evaluates each delta group, leader first, so every member
-  // replays against its leader's reference whatever the thread count. With
-  // prune on, a member's prune decision depends on the bound snapshot (and
-  // a pruned member counts no delta work), so equality is asserted with
-  // prune off.
+  // replays against its leader's reference whatever the thread count, and
+  // the same flows route live. With prune on, a member's prune decision
+  // depends on the bound snapshot (and a pruned member counts no delta
+  // work), so equality is asserted with prune off.
   const soc::SocSpec l2 = islanded(soc::make_d64_tile_soc(), 2);
   const soc::SocSpec l4 = islanded(soc::make_d64_tile_soc(), 4);
   std::vector<DeltaTallies> synth, sweep;
@@ -272,17 +274,29 @@ TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
     opt.partition_seed = 1;
     opt.threads = threads;
     opt.link_width_bits = 32;
-    const SynthesisStats s = synthesize(l2, opt).stats;
-    synth.emplace_back(s.delta_candidates, s.delta_flows_reused,
-                       s.delta_flows_rerouted, s.delta_members_skipped);
+    {
+      exec::ThreadPool pool(threads);
+      EvalScratchPool scratch;
+      const SynthesisStats s = synthesize(l2, opt, pool, scratch).stats;
+      const RouterWork work = scratch.router_work();
+      synth.emplace_back(s.delta_candidates, s.delta_flows_reused,
+                         s.delta_flows_rerouted, s.delta_members_skipped,
+                         work.expansions, work.relaxations);
+    }
+    exec::ThreadPool pool(threads);
+    EvalScratchPool scratch;
     WidthSetStats w;
-    (void)explore_link_widths(l4, {128, 160, 192, 256}, opt, &w);
+    (void)synthesize_width_set(l4, {128, 160, 192, 256}, opt, pool, scratch, &w);
+    const RouterWork work = scratch.router_work();
     sweep.emplace_back(w.delta_candidates, w.delta_flows_reused,
-                       w.delta_flows_rerouted, w.delta_members_skipped);
+                       w.delta_flows_rerouted, w.delta_members_skipped,
+                       work.expansions, work.relaxations);
   }
   EXPECT_GT(std::get<3>(synth[0]), 0);
+  EXPECT_GT(std::get<4>(synth[0]), 0);
   EXPECT_EQ(synth[1], synth[0]) << "d64/l2 w32";
   EXPECT_GT(std::get<3>(sweep[0]), 0);
+  EXPECT_GT(std::get<5>(sweep[0]), 0);
   EXPECT_EQ(sweep[1], sweep[0]) << "d64/l4 fine sweep";
 }
 

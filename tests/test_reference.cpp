@@ -22,9 +22,15 @@
 // seed's kway_mincut) on its own: every distinct partition problem the
 // benchmark inputs issue, plus seeded random graphs, must give the same
 // blocks, the same cut bits and the same feasibility.
+//
+// So is the engine's router, against the oracle's dense-Dijkstra router,
+// on seeded hand-built topologies small enough to run thousands of: grid
+// positions make many paths cost bit-equal, so a search shortcut that
+// breaks a tie differently, or prunes a path it should not, shows up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstddef>
@@ -40,9 +46,11 @@
 
 #include "reference/algorithm1.hpp"
 #include "reference/partition.hpp"
+#include "reference/routing.hpp"
 #include "vinoc/core/candidates.hpp"
 #include "vinoc/core/explore.hpp"
 #include "vinoc/core/frequency.hpp"
+#include "vinoc/core/router.hpp"
 #include "vinoc/core/synthesis.hpp"
 #include "vinoc/core/vcg.hpp"
 #include "vinoc/partition/kway.hpp"
@@ -463,6 +471,182 @@ TEST(ReferencePartition, RandomGraphsMatchOracle) {
   const std::vector<PartitionProblem> problems = random_problems(20000);
   EXPECT_EQ(partition_mismatches(problems, false), 0u)
       << "of " << problems.size() << " problems";
+}
+
+/// One hand-built routing problem of the random router diff.
+struct RoutingCase {
+  soc::SocSpec spec;
+  core::NocTopology topo;
+  std::vector<int> max_ports;
+  double alpha = 0.7;
+  int width = 32;
+  bool wire_timing = true;
+  models::Technology tech = models::Technology::cmos65nm();
+};
+
+/// A seeded random routing problem: 2-4 islands of 1-4 switches and 0-6
+/// intermediate switches on an integer grid (bit-equal path costs), up to
+/// two cores per switch, port limits a few ports above the core count
+/// (the greedy pass often strands a flow and the retry pass runs), and
+/// random flows, bandwidths, latency budgets, alpha, width and wire-timing
+/// rule. One case in eight puts the intermediate switches first, which
+/// the router cannot iterate by island ranges. Every other case zeroes the
+/// idle, per-port and leakage coefficients, so that path costs depend on
+/// length, hop and crossing counts alone and a lower bound on them is tight
+/// to the last bits (where a bound without rounding slack goes wrong).
+RoutingCase random_routing_case(std::mt19937& rng) {
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  constexpr double kFreqs[] = {300e6, 500e6, 800e6, 1e9};
+  RoutingCase c;
+  c.spec.name = "random";
+  const int islands = pick(2, 4);
+  for (int i = 0; i < islands; ++i) {
+    c.spec.islands.push_back({std::to_string(i), 1.0, true});
+    c.topo.island_freq_hz.push_back(kFreqs[pick(0, 3)]);
+  }
+  c.topo.intermediate_freq_hz = kFreqs[pick(0, 3)];
+  auto add_switch = [&](soc::IslandId island, double freq) {
+    core::SwitchInst sw;
+    sw.island = island;
+    sw.freq_hz = freq;
+    sw.pos = {static_cast<double>(pick(0, 10)), static_cast<double>(pick(0, 10))};
+    c.topo.switches.push_back(sw);
+  };
+  const int ring = pick(0, 6);
+  const bool ring_first = pick(0, 7) == 0;
+  if (ring_first) {
+    for (int k = 0; k < ring; ++k) add_switch(core::kIntermediateIsland, c.topo.intermediate_freq_hz);
+  }
+  for (int i = 0; i < islands; ++i) {
+    const int first = static_cast<int>(c.topo.switches.size());
+    const int n_sw = pick(1, 4);
+    for (int s = 0; s < n_sw; ++s) add_switch(i, c.topo.island_freq_hz[static_cast<std::size_t>(i)]);
+    const int n_cores = pick(1, 2 * n_sw);
+    for (int k = 0; k < n_cores; ++k) {
+      const auto core = static_cast<soc::CoreId>(c.spec.cores.size());
+      soc::CoreSpec cs;
+      cs.island = i;
+      c.spec.cores.push_back(cs);
+      const int sw = first + pick(0, n_sw - 1);
+      c.topo.switches[static_cast<std::size_t>(sw)].cores.push_back(core);
+      c.topo.switch_of_core.push_back(sw);
+      c.topo.ni_wire_mm.push_back(0.5);
+    }
+  }
+  if (!ring_first) {
+    for (int k = 0; k < ring; ++k) add_switch(core::kIntermediateIsland, c.topo.intermediate_freq_hz);
+  }
+  for (const core::SwitchInst& sw : c.topo.switches) {
+    c.max_ports.push_back(sw.island == core::kIntermediateIsland
+                              ? pick(2, 6)
+                              : static_cast<int>(sw.cores.size()) + pick(1, 3));
+  }
+  const int cores = static_cast<int>(c.spec.cores.size());
+  const int flows = pick(2, 14);
+  for (int f = 0; f < flows; ++f) {
+    soc::Flow fl;
+    fl.src = pick(0, cores - 1);
+    fl.dst = (fl.src + pick(1, cores - 1)) % cores;
+    fl.bandwidth_bits_per_s = std::array{1e8, 2e8, 3e8, 5e8, 8e8}[static_cast<std::size_t>(pick(0, 4))];
+    fl.max_latency_cycles = pick(6, 30) + (pick(0, 1) != 0 ? 0.5 : 0.0);
+    fl.label = std::to_string(f);
+    c.spec.flows.push_back(fl);
+  }
+  c.alpha = std::array{0.0, 0.3, 0.7, 1.0}[static_cast<std::size_t>(pick(0, 3))];
+  c.width = std::array{8, 16, 32}[static_cast<std::size_t>(pick(0, 2))];
+  c.wire_timing = pick(0, 1) != 0;
+  if (pick(0, 1) == 0) {
+    c.tech.sw_idle_power_per_port_w_per_hz = 0.0;
+    c.tech.sw_energy_per_port_pj_per_bit = 0.0;
+    c.tech.link_leakage_mw_per_wire_mm = 0.0;
+    c.tech.fifo_leakage_mw = 0.0;
+  }
+  return c;
+}
+
+/// First difference between the engine's and the oracle's routing of one
+/// case, or "" when they agree bit for bit. Topologies are compared on
+/// success only: a failed routing leaves them unspecified.
+std::string routing_diff(const core::RouteOutcome& e, const core::NocTopology& et,
+                         const reference::RouteOutcome& r,
+                         const core::NocTopology& rt) {
+  if (e.success != r.success) return "success";
+  if (e.latency_violation != r.latency_violation) return "latency_violation";
+  if (e.flows_routed != r.flows_routed) return "flows_routed";
+  if (!e.success) return "";
+  if (et.links.size() != rt.links.size()) return "link count";
+  for (std::size_t l = 0; l < rt.links.size(); ++l) {
+    const core::TopLink& a = et.links[l];
+    const core::TopLink& b = rt.links[l];
+    if (a.src_switch != b.src_switch || a.dst_switch != b.dst_switch ||
+        std::bit_cast<std::uint64_t>(a.carried_bw_bits_per_s) !=
+            std::bit_cast<std::uint64_t>(b.carried_bw_bits_per_s)) {
+      return "link " + std::to_string(l);
+    }
+  }
+  for (std::size_t f = 0; f < rt.routes.size(); ++f) {
+    if (et.routes[f].links != rt.routes[f].links ||
+        std::bit_cast<std::uint64_t>(et.routes[f].latency_cycles) !=
+            std::bit_cast<std::uint64_t>(rt.routes[f].latency_cycles)) {
+      return "route of flow " + std::to_string(f);
+    }
+  }
+  return "";
+}
+
+TEST(ReferenceRouter, RandomTopologiesMatchOracle) {
+  std::mt19937 rng(23);
+  core::RouterScratch scratch;  // one arena across every case
+  int mismatches = 0;
+  int routed = 0;
+  int latency_failures = 0;
+  int ring_routed = 0;
+  constexpr int kCases = 20000;
+  for (int i = 0; i < kCases; ++i) {
+    const RoutingCase c = random_routing_case(rng);
+    core::RouterOptions eo;
+    eo.alpha_power = c.alpha;
+    eo.link_width_bits = c.width;
+    eo.tech = c.tech;
+    eo.max_ports = c.max_ports;
+    eo.enforce_wire_timing = c.wire_timing;
+    reference::RouterOptions ro;
+    ro.alpha_power = c.alpha;
+    ro.link_width_bits = c.width;
+    ro.tech = c.tech;
+    ro.max_ports = c.max_ports;
+    ro.enforce_wire_timing = c.wire_timing;
+    core::NocTopology et = c.topo;
+    core::NocTopology rt = c.topo;
+    const core::RouteOutcome e = core::route_all_flows(et, c.spec, eo, &scratch);
+    const reference::RouteOutcome r = reference::route_all_flows(rt, c.spec, ro);
+    const std::string diff = routing_diff(e, et, r, rt);
+    if (!diff.empty() && ++mismatches <= 5) {
+      ADD_FAILURE() << "random routing case " << i << " (alpha " << c.alpha
+                    << ", width " << c.width << ", " << c.topo.switches.size()
+                    << " switches, " << c.spec.flows.size() << " flows): " << diff;
+    }
+    routed += r.success ? 1 : 0;
+    latency_failures += r.latency_violation ? 1 : 0;
+    if (r.success) {
+      for (const core::TopLink& l : rt.links) {
+        if (rt.switches[static_cast<std::size_t>(l.src_switch)].island ==
+            core::kIntermediateIsland) {
+          ++ring_routed;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "of " << kCases << " cases";
+  // The generator reaches every outcome: routed designs, routes through
+  // the intermediate switches, latency and structural failures.
+  EXPECT_GT(routed, kCases / 5);
+  EXPECT_GT(ring_routed, kCases / 100);
+  EXPECT_GT(latency_failures, kCases / 50);
+  EXPECT_GT(kCases - routed - latency_failures, kCases / 50);
 }
 
 }  // namespace

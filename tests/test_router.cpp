@@ -3,6 +3,7 @@
 // shutdown-safety rule.
 #include <gtest/gtest.h>
 
+#include "reference/routing.hpp"
 #include "vinoc/core/router.hpp"
 #include "vinoc/core/topology.hpp"
 
@@ -400,6 +401,72 @@ TEST(Router, SharedScratchRebuildsGeometryWhenALayoutMoves) {
           << "x " << x;
     }
     EXPECT_EQ(shared.topo.routes[0].links, fresh.topo.routes[0].links);
+  }
+}
+
+TEST(Router, GoalBoundKeepsEqualCostTieBreaks) {
+  // One island, four switches on a square of side u: s (0,0) and d (u,u)
+  // carry the flow's cores, a (u,0) and b (0,u) none. The diagonal is 2u,
+  // over the one-cycle wire cap, so the flow takes two hops, and s->a->d
+  // and s->b->d cost bit-equal (same lengths, ports and frequencies). The
+  // Dijkstra pops a first (equal distance, lower index), so a must stay d's
+  // predecessor: b's equal offer must not replace it, and the goal bound
+  // must skip neither. At alpha 0 the power term vanishes, at alpha 1 the
+  // latency term.
+  for (const double alpha : {0.0, 0.7, 1.0}) {
+    soc::SocSpec spec;
+    spec.islands.push_back({"vi0", 1.0, true});
+    NocTopology topo;
+    topo.island_freq_hz = {400e6};
+    topo.intermediate_freq_hz = 400e6;
+    RouterOptions opts;
+    opts.alpha_power = alpha;
+    const double u =
+        0.75 * models::LinkModel(opts.tech).max_unpipelined_length_mm(400e6);
+    const floorplan::Point corners[] = {{0.0, 0.0}, {u, 0.0}, {0.0, u}, {u, u}};
+    for (const floorplan::Point& p : corners) {
+      SwitchInst sw;
+      sw.island = 0;
+      sw.freq_hz = 400e6;
+      sw.pos = p;
+      topo.switches.push_back(sw);
+    }
+    for (const int sw : {0, 3}) {
+      spec.cores.push_back(soc::CoreSpec{});
+      topo.switches[static_cast<std::size_t>(sw)].cores.push_back(
+          static_cast<soc::CoreId>(spec.cores.size() - 1));
+      topo.switch_of_core.push_back(sw);
+      topo.ni_wire_mm.push_back(0.5);
+    }
+    soc::Flow f;
+    f.src = 0;
+    f.dst = 1;
+    f.bandwidth_bits_per_s = 1e9;
+    f.max_latency_cycles = 20;
+    spec.flows.push_back(f);
+    opts.max_ports.assign(topo.switches.size(), 8);
+
+    NocTopology oracle = topo;
+    reference::RouterOptions ref_opts;
+    ref_opts.alpha_power = alpha;
+    ref_opts.max_ports = opts.max_ports;
+    const RouteOutcome out = route_all_flows(topo, spec, opts);
+    const reference::RouteOutcome ref = reference::route_all_flows(oracle, spec, ref_opts);
+    ASSERT_TRUE(out.success) << "alpha " << alpha << ": " << out.failure_reason;
+    ASSERT_TRUE(ref.success) << "alpha " << alpha << ": " << ref.failure_reason;
+    ASSERT_EQ(topo.links.size(), 2u) << "alpha " << alpha;
+    EXPECT_EQ(topo.links[0].src_switch, 0) << "alpha " << alpha;
+    EXPECT_EQ(topo.links[0].dst_switch, 1) << "alpha " << alpha;
+    EXPECT_EQ(topo.links[1].src_switch, 1) << "alpha " << alpha;
+    EXPECT_EQ(topo.links[1].dst_switch, 3) << "alpha " << alpha;
+    ASSERT_EQ(oracle.links.size(), topo.links.size()) << "alpha " << alpha;
+    for (std::size_t l = 0; l < topo.links.size(); ++l) {
+      EXPECT_EQ(topo.links[l].src_switch, oracle.links[l].src_switch) << "alpha " << alpha;
+      EXPECT_EQ(topo.links[l].dst_switch, oracle.links[l].dst_switch) << "alpha " << alpha;
+    }
+    EXPECT_EQ(topo.routes[0].links, oracle.routes[0].links) << "alpha " << alpha;
+    EXPECT_EQ(topo.routes[0].latency_cycles, oracle.routes[0].latency_cycles)
+        << "alpha " << alpha;
   }
 }
 
