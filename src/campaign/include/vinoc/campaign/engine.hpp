@@ -229,6 +229,12 @@ struct CampaignResult {
   [[nodiscard]] std::string to_jsonl(bool include_timing = true) const;
 };
 
+/// Emits one record to the job-order sinks of `options`: its
+/// record_to_jsonl line to `stream` (flushed), then `on_record`. The
+/// engine's and the shard supervisor's job-order queues both drain
+/// through it.
+void emit_record(const CampaignOptions& options, const JobRecord& record);
+
 /// Runs the campaign. An infeasible (job, width) is recorded (feasible =
 /// false), not fatal. Spec/option errors (std::invalid_argument) propagate,
 /// as do expand_jobs() errors. Every OTHER per-job exception is treated as

@@ -49,6 +49,16 @@ struct JobFailure {
 
 }  // namespace
 
+void emit_record(const CampaignOptions& options, const JobRecord& record) {
+  if (options.stream != nullptr) {
+    const std::string line =
+        record_to_jsonl(record, options.include_timing) + "\n";
+    std::fputs(line.c_str(), options.stream);
+    std::fflush(options.stream);
+  }
+  if (options.on_record) options.on_record(record);
+}
+
 std::string CampaignResult::to_jsonl(bool include_timing) const {
   std::string text;
   for (const JobRecord& rec : records) {
@@ -133,13 +143,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     emitted.deposit(
         i, std::move(rec),
         [&](JobRecord&& ready) {
-          if (options.stream != nullptr) {
-            const std::string line =
-                record_to_jsonl(ready, options.include_timing) + "\n";
-            std::fputs(line.c_str(), options.stream);
-            std::fflush(options.stream);
-          }
-          if (options.on_record) options.on_record(ready);
+          emit_record(options, ready);
           out.records.push_back(std::move(ready));
         },
         [](int) {});

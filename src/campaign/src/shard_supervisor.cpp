@@ -18,6 +18,7 @@
 
 #include "vinoc/campaign/shard.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
+#include "vinoc/exec/ordered_drain.hpp"
 #include "vinoc/exec/subprocess.hpp"
 #include "vinoc/io/jsonl.hpp"
 #include "vinoc/io/shard_wire.hpp"
@@ -54,45 +55,6 @@ struct Slot {
   bool live = false;
   bool sigkilled_by_watchdog = false;
   Clock::time_point last_event;
-};
-
-/// Streams records in global job order as they arrive out of order from the
-/// shards — the supervisor-side twin of the engine's job-order record queue
-/// (an exec::OrderedDrainQueue).
-class OrderedStream {
- public:
-  OrderedStream(const CampaignOptions& options, std::size_t total)
-      : options_(options), have_(total, false), records_(total) {}
-
-  [[nodiscard]] bool has(std::size_t index) const { return have_[index]; }
-  [[nodiscard]] std::size_t delivered() const { return delivered_; }
-
-  void deliver(std::size_t index, JobRecord record) {
-    if (have_[index]) return;  // first writer wins (respawn duplicates)
-    have_[index] = true;
-    records_[index] = std::move(record);
-    ++delivered_;
-    while (next_ < have_.size() && have_[next_]) {
-      const JobRecord& rec = records_[next_];
-      if (options_.stream != nullptr) {
-        const std::string line =
-            record_to_jsonl(rec, options_.include_timing) + "\n";
-        std::fputs(line.c_str(), options_.stream);
-        std::fflush(options_.stream);
-      }
-      if (options_.on_record) options_.on_record(rec);
-      ++next_;
-    }
-  }
-
-  [[nodiscard]] std::vector<JobRecord> take() { return std::move(records_); }
-
- private:
-  const CampaignOptions& options_;
-  std::vector<bool> have_;
-  std::vector<JobRecord> records_;
-  std::size_t next_ = 0;
-  std::size_t delivered_ = 0;
 };
 
 /// Counters a worker summary contributes by SUMMING (run/cache_hits/... are
@@ -140,7 +102,23 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   const ShardPlan plan = plan_shards(jobs, sopt.shards);
   std::filesystem::create_directories(shards_dir(cache_dir));
 
-  OrderedStream stream(sopt.base, jobs.size());
+  // Records arrive out of order from the shards; they stream in global job
+  // order through the same queue and sinks as the engine's. The first
+  // record of a job wins: a respawned shard may deliver it again.
+  exec::OrderedDrainQueue<JobRecord> ordered(jobs.size());
+  std::vector<char> delivered(jobs.size(), 0);
+  result.records.reserve(jobs.size());
+  auto deliver = [&](std::size_t index, JobRecord rec) {
+    if (delivered[index] != 0) return;
+    delivered[index] = 1;
+    ordered.deposit(
+        index, std::move(rec),
+        [&](JobRecord&& ready) {
+          emit_record(sopt.base, ready);
+          result.records.push_back(std::move(ready));
+        },
+        [](int) {});
+  };
   obs::Registry summed;  ///< worker-summary + fallback telemetry (see above)
   std::int64_t workers_spawned = 0, worker_crashes = 0, worker_respawns = 0;
   std::int64_t reassign_rounds = 0, reassigned_jobs = 0, fallback_jobs = 0;
@@ -177,7 +155,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   auto deliver_key = [&](std::uint64_t key, JobRecord rec) {
     const auto it = index_of.find(key);
     if (it == index_of.end()) return;  // not a job of this campaign
-    stream.deliver(it->second, std::move(rec));
+    deliver(it->second, std::move(rec));
   };
 
   auto absorb_summary_map = [&](const std::map<std::string, std::string>& obj) {
@@ -357,7 +335,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
           rec.status = "failed";
           quarantine(job, cause, count);
           slot.pending.erase(key);
-          stream.deliver(it->second, std::move(rec));
+          deliver(it->second, std::move(rec));
         }
       }
     }
@@ -452,7 +430,7 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   if (!cancelled()) {
     std::vector<std::uint64_t> missing;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (!stream.has(i)) missing.push_back(jobs[i].key);
+      if (delivered[i] == 0) missing.push_back(jobs[i].key);
     }
     if (!missing.empty()) {
       fallback_jobs = static_cast<std::int64_t>(missing.size());
@@ -472,14 +450,13 @@ ShardCampaignResult run_sharded_campaign(const CampaignSpec& spec,
   // Interrupted (or pathological) leftovers: emit "skipped" so the stream
   // stays one-record-per-job — exactly what the single-process engine does.
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (stream.has(i)) continue;
+    if (delivered[i] != 0) continue;
     JobRecord rec = summarize(spec.name, jobs[i], nullptr);
     rec.status = "skipped";
-    stream.deliver(i, std::move(rec));
+    deliver(i, std::move(rec));
   }
 
   out.merge = merge_shard_stores(cache_dir, &order_keys);
-  result.records = stream.take();
 
   // --- Canonical metrics ----------------------------------------------------
   // run/cache_hits/infeasible/total and the outcome counters re-derive from

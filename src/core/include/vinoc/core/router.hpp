@@ -22,9 +22,9 @@
 // (monotone lower bounds on the final metrics checked against the current
 // Pareto front after every routed flow; see vinoc/core/prune.hpp).
 //
-// None of this machinery (scratch, geometry, SIMD filter, goal bound,
-// delta replay) may change a result: tests/test_reference.cpp diffs the
-// engine against a plain dense-Dijkstra Algorithm 1 kept outside it
+// None of this machinery (scratch, geometry, relaxation filter, goal
+// bound, delta replay) may change a result: tests/test_reference.cpp diffs
+// the engine against a plain dense-Dijkstra Algorithm 1 kept outside it
 // (tests/reference/).
 #pragma once
 
@@ -128,6 +128,23 @@ struct RouterWork {
   }
 };
 
+/// One hop of a routed flow: the endpoint switch ids plus whether the flow
+/// OPENED a new link for it (it is the link's first user) as opposed to
+/// reusing the pair's latest existing link. The router commits every route
+/// as a list of these, and delta evaluation records and replays the lists
+/// of a reference candidate (see DeltaReference). Island switch ids
+/// are stable across the candidates of one enumeration group (identical
+/// island partitions, built in identical order), which is what lets a
+/// recorded hop be replayed on an adjacent candidate's topology.
+struct DeltaHop {
+  int src = -1;
+  int dst = -1;
+  unsigned char open = 0;
+  friend bool operator==(const DeltaHop& a, const DeltaHop& b) {
+    return a.src == b.src && a.dst == b.dst && a.open == b.open;
+  }
+};
+
 /// Reusable routing state. Buffers grow to the high-water mark of the
 /// topologies routed through them and are reset — not reallocated — per
 /// call; one instance per worker strand (see exec::WorkerLocal). Reusing
@@ -138,7 +155,10 @@ struct RouterScratch {
   std::vector<double> dist;
   std::vector<int> pred;
   std::vector<int> pred_link;
-  std::vector<int> path;
+  /// Hop list of the flow routed live last (see route_all_flows), in path
+  /// order: what it committed, what a recording stores and what delta
+  /// replay compares with its record.
+  std::vector<DeltaHop> hops;
   std::vector<int> link_at;  ///< n x n flat matrix: link id or -1
   std::vector<double> max_wire_len;  ///< per-switch one-cycle wire length cap
   std::vector<int> ports_in;
@@ -156,21 +176,6 @@ struct RouterScratch {
   /// Work tallies of every Dijkstra run through this scratch, accumulated
   /// and never reset by the router. No result reads them.
   RouterWork work;
-};
-
-/// One hop of a recorded reference route (see DeltaReference): the endpoint
-/// switch ids plus whether the reference run OPENED a new link for it (as
-/// opposed to reusing the pair's latest existing link). Island switch ids
-/// are stable across the candidates of one enumeration group (identical
-/// island partitions, built in identical order), which is what lets a
-/// recorded hop be replayed on an adjacent candidate's topology.
-struct DeltaHop {
-  int src = -1;
-  int dst = -1;
-  unsigned char open = 0;
-  friend bool operator==(const DeltaHop& a, const DeltaHop& b) {
-    return a.src == b.src && a.dst == b.dst && a.open == b.open;
-  }
 };
 
 /// The hop sequence of one routed flow, in path order. Empty when the
@@ -239,9 +244,8 @@ struct DeltaRouteState {
   bool member_skipped = false;
   int flows_reused = 0;    ///< replayed from the record, no Dijkstra
   int flows_rerouted = 0;  ///< routed live (affected or tainted)
-  /// Router-managed scratch (reset per pass, buffers reused).
+  /// Router-managed scratch (reset per pass, buffer reused).
   std::vector<char> island_tainted;
-  std::vector<DeltaHop> actual_hops;
 
   /// Zeroes every output field (not `ref` or the scratch).
   void clear_outputs() {

@@ -6,52 +6,9 @@
 #include <numeric>
 
 #include "vinoc/core/prune.hpp"
-#include "vinoc/core/simd.hpp"
 #include "vinoc/obs/trace.hpp"
 
-// Load-bearing inlining hint for the relaxation body (see route_flow): a
-// call per surviving target costs ~8% of the evaluation hot path. Non-GNU
-// compilers fall back to the optimizer's judgement.
-#if defined(__GNUC__) || defined(__clang__)
-#define VINOC_ALWAYS_INLINE __attribute__((always_inline))
-#else
-#define VINOC_ALWAYS_INLINE
-#endif
-
 namespace vinoc::core {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-soc::IslandId island_of_switch(const NocTopology& topo, int sw) {
-  return topo.switches[static_cast<std::size_t>(sw)].island;
-}
-
-double switch_freq(const NocTopology& topo, int sw) {
-  return topo.switches[static_cast<std::size_t>(sw)].freq_hz;
-}
-
-#if defined(VINOC_SIMD_VECTOR_EXT)
-/// 4-wide evaluation of the relaxation filter over consecutive targets
-/// v..v+3 of one dense run: bit i of the result is set when target i
-/// SURVIVES (its relaxation body must run). Each lane computes exactly
-/// route_flow's scalar `skip` expression — the latency-part threshold, and
-/// the opening-floor threshold gated on "no reusable link" — with per-lane
-/// IEEE adds, so the mask equals four scalar evaluations bit-for-bit.
-inline unsigned relax_survivors4(const double* dist, const double* floors,
-                                 const int* links, double lat_thresh,
-                                 double dist_u, double latpart) {
-  const simd::F64x4 d = simd::load4(dist);
-  unsigned skip = simd::ge_mask(simd::splat4(lat_thresh), d);
-  const simd::F64x4 open_thresh =
-      simd::splat4(dist_u) + (simd::load4(floors) + simd::splat4(latpart));
-  skip |= simd::ge_mask(open_thresh, d) & simd::lt0_mask(simd::load4i(links));
-  return ~skip & 0xFu;
-}
-#endif
-
-}  // namespace
 
 std::vector<std::size_t> bandwidth_descending_order(const soc::SocSpec& spec) {
   std::vector<std::size_t> order(spec.flows.size());
@@ -84,6 +41,7 @@ bool link_admissible(soc::IslandId a_isl, soc::IslandId b_isl,
 
 namespace {
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Technology constants of the edge cost, hoisted out of the inner loop
@@ -400,43 +358,6 @@ class Router {
       link_w_per_bw_mm_ = opts_.tech.link_energy_pj_per_bit_mm * 1e-12;
     }
 
-    // Per-island contiguous index ranges, so each flow's Dijkstra can visit
-    // only its admissible switches (source island, destination island, the
-    // intermediate VI) instead of the full switch set. Topologies from the
-    // synthesis pipeline are always laid out islands-ascending with the
-    // intermediates last; anything else (hand-built) falls back to the full
-    // range, which is merely slower, never different — inadmissible nodes
-    // can neither be relaxed nor extracted (their distance stays infinite).
-    const std::size_t n_islands = spec.islands.size();
-    island_begin_.assign(n_islands + 1, -1);
-    island_end_.assign(n_islands + 1, -1);
-    contiguous_ = true;
-    for (std::size_t s = 0; s < n_sw; ++s) {
-      const soc::IslandId isl = topo_.switches[s].island;
-      const std::size_t slot =
-          isl == kIntermediateIsland ? n_islands : static_cast<std::size_t>(isl);
-      if (island_begin_[slot] < 0) {
-        island_begin_[slot] = static_cast<int>(s);
-        island_end_[slot] = static_cast<int>(s + 1);
-      } else if (island_end_[slot] == static_cast<int>(s)) {
-        island_end_[slot] = static_cast<int>(s + 1);
-      } else {
-        contiguous_ = false;  // island split across the array
-        break;
-      }
-    }
-    if (contiguous_) {
-      // Ranges must also appear in ascending island order (intermediate
-      // last) so the subset scan visits indices ascending, preserving the
-      // lowest-index tie-break of the dense scan.
-      int prev_end = 0;
-      for (std::size_t slot = 0; slot <= n_islands && contiguous_; ++slot) {
-        if (island_begin_[slot] < 0) continue;  // island without switches
-        if (island_begin_[slot] < prev_end) contiguous_ = false;
-        prev_end = island_end_[slot];
-      }
-    }
-
     // Arm delta replay only when the reference's power normalizer is
     // bit-equal to ours: p_norm is the single cross-candidate coupling of
     // intra-island routing decisions (everything else an intra Dijkstra
@@ -521,57 +442,6 @@ class Router {
   }
 
  private:
-  /// Result of choose_hop(): edge cost (kInf = inadmissible) and the
-  /// chosen link (-1 = open a new one).
-  struct HopChoice {
-    double cost = kInf;
-    int link = -1;
-  };
-
-  /// Reuse-vs-open selection for one admissible hop u->v. `base_power` is
-  /// the lazily computed width-invariant marginal power of the hop (wire +
-  /// downstream crossbar + FIFO traversal).
-  template <typename BasePowerFn>
-  VINOC_ALWAYS_INLINE HopChoice choose_hop(
-      double width_bits, double fu, double fv, int max_ports_u,
-      int max_ports_v, double wire_cap_u, bool cross, double len,
-      double latpart, double bw, int existing, std::size_t us, std::size_t vs,
-      BasePowerFn&& base_power) {
-    HopChoice choice;
-    if (existing >= 0) {
-      const TopLink& l = topo_.links[static_cast<std::size_t>(existing)];
-      const double cap = width_bits * std::min(fu, fv);
-      if (l.carried_bw_bits_per_s + bw <= cap + 1e-6) {
-        choice.cost = opts_.alpha_power * base_power() / p_norm_ + latpart;
-        choice.link = existing;
-        return choice;
-      }
-      // Saturated: fall through and consider opening a parallel link.
-    }
-    // Opening needs a free out port on u and in port on v, enough
-    // capacity, and (intra-island) a one-cycle wire.
-    bool ok = scratch_.ports_out[us] + 1 <= max_ports_u &&
-              scratch_.ports_in[vs] + 1 <= max_ports_v;
-    if (ok) {
-      const double cap = width_bits * std::min(fu, fv);
-      ok = !(bw > cap + 1e-6);
-    }
-    if (ok && opts_.enforce_wire_timing && !cross) {
-      ok = !(len > wire_cap_u);
-    }
-    if (ok) {
-      // New ports clock on both sides; wires and (if crossing) a FIFO
-      // leak. Same accumulation order as hop_power_w had.
-      double p = base_power();
-      p += k_.idle_w_per_hz * (fu + fv);
-      p += k_.link_leak * len * width_bits;
-      if (cross) p += k_.fifo_leak;
-      choice.cost = opts_.alpha_power * p / p_norm_ + latpart;
-      choice.link = -1;
-    }
-    return choice;
-  }
-
   bool crossing(int a, int b) const {
     return scratch_.island_of[static_cast<std::size_t>(a)] !=
            scratch_.island_of[static_cast<std::size_t>(b)];
@@ -605,62 +475,40 @@ class Router {
         g.classes[slot(src_isl) * (ni + 1) + slot(dst_isl)];
     if (c.built) return c;
     c.built = true;
-    // Member switches of this class, ascending (preserves the dense scan's
-    // iteration order); non-members are never extracted (their distance
-    // stays infinite). Members are grouped into maximal runs of index-
-    // consecutive switches of one island, so each source switch's
-    // admissible targets are a handful of dense ranges the relaxation loop
-    // streams over.
-    std::vector<int> members;
-    if (contiguous_) {
-      auto push_range = [this, &members](std::size_t s) {
-        for (int i = island_begin_[s]; i < island_end_[s]; ++i) {
-          members.push_back(i);
-        }
-      };
-      if (src_isl == dst_isl) {
-        push_range(slot(src_isl));
-      } else {
-        const auto lo = std::min(slot(src_isl), slot(dst_isl));
-        const auto hi = std::max(slot(src_isl), slot(dst_isl));
-        push_range(lo);
-        push_range(hi);
-        push_range(ni);  // intermediate VI switches sit at the end
-      }
-    } else {
-      for (std::size_t s = 0; s < n_; ++s) members.push_back(static_cast<int>(s));
-    }
+    // Member switches of this class: those of the source and destination
+    // islands and, for a cross-island class, the intermediate VI. Nothing
+    // else is admissible, so a non-member's distance would stay infinite.
+    // Members are grouped, ascending (the dense scan's iteration order),
+    // into maximal runs of index-consecutive switches of one island, so
+    // each source switch's admissible targets are a handful of dense ranges
+    // the relaxation loop streams over.
     struct Segment {
       int lo, hi;
       soc::IslandId island;
     };
     std::vector<Segment> segments;
-    for (std::size_t i = 0; i < members.size();) {
-      const int lo = members[i];
-      const auto isl = static_cast<soc::IslandId>(
-          scratch_.island_of[static_cast<std::size_t>(lo)]);
-      std::size_t j = i + 1;
-      while (j < members.size() && members[j] == members[j - 1] + 1 &&
-             static_cast<soc::IslandId>(scratch_.island_of[static_cast<std::size_t>(
-                 members[j])]) == isl) {
-        ++j;
+    std::vector<char> member(n_, 0);
+    for (std::size_t s = 0; s < n_; ++s) {
+      const soc::IslandId isl = scratch_.island_of[s];
+      if (isl != src_isl && isl != dst_isl &&
+          (src_isl == dst_isl || isl != kIntermediateIsland)) {
+        continue;
       }
-      segments.push_back({lo, members[j - 1] + 1, isl});
-      i = j;
+      member[s] = 1;
+      const int sw = static_cast<int>(s);
+      if (!segments.empty() && segments.back().hi == sw &&
+          segments.back().island == isl) {
+        ++segments.back().hi;
+      } else {
+        segments.push_back({sw, sw + 1, isl});
+      }
     }
     c.run_begin.assign(n_ + 1, 0);
     c.runs.clear();
     for (std::size_t u = 0; u < n_; ++u) {
       c.run_begin[u] = static_cast<int>(c.runs.size());
-      const auto a_isl = static_cast<soc::IslandId>(scratch_.island_of[u]);
-      bool u_member = false;
-      for (const Segment& seg : segments) {
-        if (static_cast<int>(u) >= seg.lo && static_cast<int>(u) < seg.hi) {
-          u_member = true;
-          break;
-        }
-      }
-      if (!u_member) continue;
+      if (member[u] == 0) continue;
+      const soc::IslandId a_isl = scratch_.island_of[u];
       for (const Segment& seg : segments) {
         if (!link_admissible(a_isl, seg.island, src_isl, dst_isl)) continue;
         RoutingGeometry::HopRun run;
@@ -730,6 +578,8 @@ class Router {
     if (s_sw == d_sw) {
       route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
       last_dist_ = 0.0;
+      scratch_.hops.clear();
+      committed_ = &scratch_.hops;
       return true;
     }
 
@@ -819,70 +669,59 @@ class Router {
         const bool cross = run.crossing != 0;
         const double latpart = cross ? lat_part_cross : lat_part_intra;
         const double lat_thresh = dist_u + latpart;
-        // The relaxation of one target that survived the filter below.
-        // Force-inlined: a call per surviving target costs ~8% of the whole
-        // evaluation hot path.
-        auto relax = [&](int v) VINOC_ALWAYS_INLINE {
-          ++work.relaxations;
+        for (int v = run.lo; v < run.hi; ++v) {
           const auto vs = static_cast<std::size_t>(v);
+          // Bit-exact early skips: the full cost is >= latpart, and when no
+          // link exists to reuse it is also >= the pair's opening floor (see
+          // build_floor_matrix); IEEE addition is monotone, so a filtered
+          // relaxation provably would not have updated anything. The two
+          // thresholds also dispose of done nodes (dist == -inf).
+          const int existing = link_row[vs];
+          if (lat_thresh >= dist[vs] ||
+              (existing < 0 && dist_u + (floor_row[vs] + latpart) >= dist[vs])) {
+            continue;
+          }
+          ++work.relaxations;
           const double len = hop_row[vs];
-          // Width-invariant part of the marginal power (wire + downstream
-          // crossbar + FIFO traversal), computed lazily in the exact
-          // operation order of the naive path.
-          double p_base = -1.0;
-          auto base_power = [&]() {
-            if (p_base < 0.0) {
-              double p = k_.link_dyn * len * bw;
-              p += scratch_.ebit_of[vs] * bw;
-              if (cross) p += k_.fifo_dyn * bw;
-              p_base = p;
-            }
-            return p_base;
-          };
+          const double freq_v = scratch_.freq_of[vs];
+          const double cap = width * std::min(freq_u, freq_v);
+          // Width-invariant part of the marginal power: wire + downstream
+          // crossbar + FIFO traversal.
+          double p = k_.link_dyn * len * bw;
+          p += scratch_.ebit_of[vs] * bw;
+          if (cross) p += k_.fifo_dyn * bw;
           // Reuse the existing link when it has residual capacity, else try
-          // to open a new one (see choose_hop).
-          const HopChoice hc = choose_hop(
-              width, freq_u, scratch_.freq_of[vs], opts_.max_ports[us],
-              opts_.max_ports[vs], wire_cap_u, cross, len, latpart, bw,
-              link_row[vs], us, vs, base_power);
-          if (std::isfinite(hc.cost) && dist_u + hc.cost < dist[vs]) {
-            dist[vs] = dist_u + hc.cost;
+          // to open a new (possibly parallel) one.
+          int link = existing;
+          const bool reuse =
+              existing >= 0 &&
+              topo_.links[static_cast<std::size_t>(existing)].carried_bw_bits_per_s +
+                      bw <=
+                  cap + 1e-6;
+          if (!reuse) {
+            // Opening needs a free out port on u and in port on v, enough
+            // capacity, and (intra-island) a one-cycle wire.
+            if (scratch_.ports_out[us] + 1 > opts_.max_ports[us] ||
+                scratch_.ports_in[vs] + 1 > opts_.max_ports[vs] ||
+                bw > cap + 1e-6 ||
+                (opts_.enforce_wire_timing && !cross && len > wire_cap_u)) {
+              continue;
+            }
+            // New ports clock on both sides; wires and (if crossing) a FIFO
+            // leak.
+            p += k_.idle_w_per_hz * (freq_u + freq_v);
+            p += k_.link_leak * len * width;
+            if (cross) p += k_.fifo_leak;
+            link = -1;
+          }
+          const double cost = opts_.alpha_power * p / p_norm_ + latpart;
+          if (std::isfinite(cost) && dist_u + cost < dist[vs]) {
+            dist[vs] = dist_u + cost;
             pred[vs] = u;
-            pred_link[vs] = hc.link;
+            pred_link[vs] = link;
             heap.emplace_back(dist[vs], v);
             std::push_heap(heap.begin(), heap.end(), heap_after);
           }
-        };
-
-        // Bit-exact early skips: the full cost is >= latpart, and when no
-        // link exists to reuse it is also >= the pair's opening floor (see
-        // build_floor_matrix); IEEE addition is monotone, so a filtered
-        // relaxation provably would not have updated anything. The two
-        // thresholds also dispose of done nodes (dist == -inf). The 4-wide
-        // path evaluates the SAME two comparisons per lane (floors are
-        // compared, never accumulated — see simd.hpp), so the survivor set
-        // is bit-identical to the scalar tail loop's.
-        int v = run.lo;
-#if defined(VINOC_SIMD_VECTOR_EXT)
-        for (; v + simd::kWidth <= run.hi; v += simd::kWidth) {
-          unsigned m = relax_survivors4(
-              &dist[static_cast<std::size_t>(v)],
-              &floor_row[static_cast<std::size_t>(v)],
-              &link_row[static_cast<std::size_t>(v)], lat_thresh, dist_u,
-              latpart);
-          while (m != 0) {
-            relax(v + __builtin_ctz(m));
-            m &= m - 1;
-          }
-        }
-#endif
-        for (; v < run.hi; ++v) {
-          const auto vs = static_cast<std::size_t>(v);
-          const bool skip =
-              lat_thresh >= dist[vs] ||
-              (link_row[vs] < 0 &&
-               dist_u + (floor_row[vs] + latpart) >= dist[vs]);
-          if (!skip) relax(v);
         }
       }
     }
@@ -896,35 +735,47 @@ class Router {
       return false;
     }
 
-    // Materialize the path, opening links as needed.
-    std::vector<int>& rev_nodes = scratch_.path;
-    rev_nodes.clear();
+    // The path as a hop list: a hop opens a link iff its relaxation chose
+    // to (pred_link is link_at[u][v] or -1, and a simple path visits each
+    // switch pair once, so no earlier hop of it changes that choice).
+    std::vector<DeltaHop>& hops = scratch_.hops;
+    hops.clear();
     for (int v = d_sw; v != s_sw; v = pred[static_cast<std::size_t>(v)]) {
-      rev_nodes.push_back(v);
+      const auto vs = static_cast<std::size_t>(v);
+      hops.push_back({pred[vs], v, static_cast<unsigned char>(pred_link[vs] < 0)});
     }
-    std::reverse(rev_nodes.begin(), rev_nodes.end());
-    int prev = s_sw;
-    for (const int v : rev_nodes) {
-      // An earlier hop of this same path may have opened a link or consumed
-      // ports, but hops of one shortest path touch distinct switches, so the
-      // cached choice stays valid.
-      int link_id = pred_link[static_cast<std::size_t>(v)];
-      if (link_id < 0) {
-        link_id = open_link(prev, v);
-      }
+    std::reverse(hops.begin(), hops.end());
+    return commit_route(flow_idx, hops, s_sw, d_sw, outcome);
+  }
+
+  /// Commits the hop list of one flow to the topology, in path order:
+  /// opens a link where a hop opens, else reuses the pair's latest link,
+  /// and carries the flow on it, with the bound accounting, crossing count
+  /// and latency check of the finished route. The list stays readable as
+  /// the flow's committed hops (record_flow, the delta comparison). Returns
+  /// false on a latency violation (`outcome` filled).
+  bool commit_route(std::size_t flow_idx, const std::vector<DeltaHop>& hops,
+                    int s_sw, int d_sw, RouteOutcome& outcome) {
+    committed_ = &hops;
+    const soc::Flow& flow = spec_.flows[flow_idx];
+    FlowRoute& route = topo_.routes[flow_idx];
+    route.src_switch = s_sw;
+    route.dst_switch = d_sw;
+    const double bw = flow.bandwidth_bits_per_s;
+    route.crossings = 0;
+    for (const DeltaHop& h : hops) {
+      const int link_id =
+          h.open != 0 ? open_link(h.src, h.dst)
+                      : scratch_.link_at[static_cast<std::size_t>(h.src) * n_ +
+                                         static_cast<std::size_t>(h.dst)];
       TopLink& l = topo_.links[static_cast<std::size_t>(link_id)];
-      l.carried_bw_bits_per_s += flow.bandwidth_bits_per_s;
+      l.carried_bw_bits_per_s += bw;
       l.flows.push_back(static_cast<int>(flow_idx));
       route.links.push_back(link_id);
+      if (l.crosses_island) ++route.crossings;
       if (power_lb_ >= 0.0) {
-        accumulate_power_lb(prev, v, l, flow.bandwidth_bits_per_s,
-                            /*pass_through=*/v != d_sw);
+        accumulate_power_lb(h.src, h.dst, l, bw, /*pass_through=*/h.dst != d_sw);
       }
-      prev = v;
-    }
-    route.crossings = 0;
-    for (const int l : route.links) {
-      if (topo_.links[static_cast<std::size_t>(l)].crosses_island) ++route.crossings;
     }
     route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
     if (route.latency_cycles > flow.max_latency_cycles + 1e-9) {
@@ -943,7 +794,7 @@ class Router {
   /// verdict, plus the reference's summary of them.
   void record_flow(std::size_t f) {
     DeltaRouteRec& rec = rec_out_->records.emplace_back();
-    reconstruct_hops(f, rec.hops);
+    rec.hops = *committed_;
     rec.dist = rec_dist_ok_ ? last_dist_ : kNaN;
     if (rec.hops.empty()) return;  // trivial: never replayed
     ++rec_out_->replayable;
@@ -956,25 +807,6 @@ class Router {
                     cross_bound_.certifies(rec.dist, flow, a, b, route.src_switch,
                                            route.dst_switch);
     rec_out_->cross_certified &= rec.certified;
-  }
-
-  /// Rebuilds the hop sequence of a FINISHED route in path order: endpoint
-  /// switch ids per link plus whether THIS flow opened the link (it did iff
-  /// it is the link's first user — links record their users in routing
-  /// order). Shared by the delta recorder and the live-route comparison.
-  void reconstruct_hops(std::size_t flow_idx, std::vector<DeltaHop>& hops) const {
-    hops.clear();
-    const FlowRoute& route = topo_.routes[flow_idx];
-    for (const int lid : route.links) {
-      const TopLink& l = topo_.links[static_cast<std::size_t>(lid)];
-      DeltaHop h;
-      h.src = l.src_switch;
-      h.dst = l.dst_switch;
-      h.open = !l.flows.empty() && l.flows.front() == static_cast<int>(flow_idx)
-                   ? 1
-                   : 0;
-      hops.push_back(h);
-    }
   }
 
   /// Marks every REAL island touched by `hops` as diverged from the
@@ -995,9 +827,8 @@ class Router {
   }
 
   /// Replays a recorded reference route onto the current topology without a
-  /// Dijkstra: open where the reference opened, reuse the pair's latest
-  /// link where it reused, with exactly the state mutations and bound
-  /// accounting the materialisation loop performs. Returns 1 when routed,
+  /// Dijkstra: commits the record's hop list through commit_route, exactly
+  /// as a live route commits its own. Returns 1 when routed,
   /// 0 on a latency violation (`outcome` filled, identically to the live
   /// path), -1 when the record is not applicable (malformed chain or a
   /// missing reuse link — never expected for an in-sync island; the caller
@@ -1022,39 +853,7 @@ class Router {
       }
       prev = h.dst;
     }
-
-    const soc::Flow& flow = spec_.flows[flow_idx];
-    FlowRoute& route = topo_.routes[flow_idx];
-    route.src_switch = s_sw;
-    route.dst_switch = d_sw;
-    const double bw = flow.bandwidth_bits_per_s;
-    for (const DeltaHop& h : rec.hops) {
-      const int link_id =
-          h.open != 0 ? open_link(h.src, h.dst)
-                      : scratch_.link_at[static_cast<std::size_t>(h.src) * n_ +
-                                         static_cast<std::size_t>(h.dst)];
-      TopLink& l = topo_.links[static_cast<std::size_t>(link_id)];
-      l.carried_bw_bits_per_s += bw;
-      l.flows.push_back(static_cast<int>(flow_idx));
-      route.links.push_back(link_id);
-      if (power_lb_ >= 0.0) {
-        accumulate_power_lb(h.src, h.dst, l, bw, /*pass_through=*/h.dst != d_sw);
-      }
-    }
-    route.crossings = 0;
-    for (const int l : route.links) {
-      if (topo_.links[static_cast<std::size_t>(l)].crosses_island) ++route.crossings;
-    }
-    route.latency_cycles = route_latency_cycles(topo_, route, opts_.tech);
-    if (route.latency_cycles > flow.max_latency_cycles + 1e-9) {
-      outcome.failure_reason = "latency violated for flow '" + flow.label +
-                               "' (" + std::to_string(route.latency_cycles) +
-                               " > " + std::to_string(flow.max_latency_cycles) + ")";
-      outcome.failed_flow = static_cast<int>(flow_idx);
-      outcome.latency_violation = true;
-      return 0;
-    }
-    return 1;
+    return commit_route(flow_idx, rec.hops, s_sw, d_sw, outcome) ? 1 : 0;
   }
 
   /// One flow of an armed delta run (see DeltaRouteState). UNTOUCHED flows
@@ -1102,10 +901,9 @@ class Router {
       // A cross flow that routed exactly as the reference's record leaves
       // every island it touched in sync; any difference (typically: the
       // intermediate VI absorbed it) diverges them.
-      reconstruct_hops(flow_idx, delta_->actual_hops);
-      if (!(delta_->actual_hops == rec.hops)) {
+      if (!(*committed_ == rec.hops)) {
         taint_hops(rec.hops);
-        taint_hops(delta_->actual_hops);
+        taint_hops(*committed_);
       }
     }
     return true;
@@ -1120,8 +918,8 @@ class Router {
   /// the flow VISIT a switch its endpoint floor did not count.
   void accumulate_power_lb(int a, int b, const TopLink& l, double bw,
                            bool pass_through) {
-    const soc::IslandId a_isl = island_of_switch(topo_, a);
-    const soc::IslandId b_isl = island_of_switch(topo_, b);
+    const int a_isl = scratch_.island_of[static_cast<std::size_t>(a)];
+    const int b_isl = scratch_.island_of[static_cast<std::size_t>(b)];
     if (a_isl != b_isl) power_lb_ += fifo_w_per_bw_ * bw;
     if (a_isl != kIntermediateIsland && b_isl != kIntermediateIsland) {
       power_lb_ += link_w_per_bw_mm_ * l.length_mm * bw;
@@ -1151,7 +949,8 @@ class Router {
     if (power_lb_ >= 0.0) {
       // The two new ports clock forever: their idle power is an exact,
       // monotone addition to the final switch dynamic power.
-      power_lb_ += k_.idle_w_per_hz * (switch_freq(topo_, a) + switch_freq(topo_, b));
+      power_lb_ += k_.idle_w_per_hz * (scratch_.freq_of[static_cast<std::size_t>(a)] +
+                                       scratch_.freq_of[static_cast<std::size_t>(b)]);
     }
     return id;
   }
@@ -1169,14 +968,12 @@ class Router {
   CrossIslandBound cross_bound_;  ///< built when recording with rec_dist_ok_
   bool rec_dist_ok_ = false;  ///< recorded distances are certificate inputs
   double last_dist_ = kNaN;   ///< destination distance of the last Dijkstra
+  /// Hop list of the last committed flow: scratch_.hops, or a replayed record.
+  const std::vector<DeltaHop>* committed_ = nullptr;
   const CostCoeffs k_;
   std::size_t n_ = 0;
   double p_norm_ = 1.0;
   double norm_span_ = 0.0;  ///< layout input of p_norm_
-  // Admissible-subset iteration (see route_flow).
-  std::vector<int> island_begin_;
-  std::vector<int> island_end_;
-  bool contiguous_ = false;
   std::vector<double> floor_;  ///< n x n opening-cost floors of this pass
   // Pruning state; power_lb_ < 0 means pruning disabled for this pass.
   double power_lb_ = -1.0;

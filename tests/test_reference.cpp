@@ -4,8 +4,9 @@
 // build, compaction, refinement, signature dedup and Pareto merge, calling
 // only the leaf modules (soc, floorplan, partition + VCG, frequency,
 // metrics, deadlock). Every other bit-identity test compares two paths of
-// the engine that share Router::choose_hop, so a change to the shared
-// kernel moves both sides together; this test says which side is right.
+// the engine that share its router's relaxation kernel, so a change to the
+// shared kernel moves both sides together; this test says which side is
+// right.
 //
 // On every configuration the engine (prune off, delta on, threads 1 and 4)
 // must reproduce the oracle exactly: the saved points (switch counts,
@@ -26,7 +27,9 @@
 // So is the engine's router, against the oracle's dense-Dijkstra router,
 // on seeded hand-built topologies small enough to run thousands of: grid
 // positions make many paths cost bit-equal, so a search shortcut that
-// breaks a tie differently, or prunes a path it should not, shows up.
+// breaks a tie differently, or prunes a path it should not, shows up. One
+// case in four is routed again with its switches shuffled, so islands
+// interleave in the switch array.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +45,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "reference/algorithm1.hpp"
@@ -566,6 +570,38 @@ RoutingCase random_routing_case(std::mt19937& rng) {
   return c;
 }
 
+/// `c` with its switch order permuted by `rng`: switch_of_core, the cores
+/// of each switch and max_ports follow their switches.
+RoutingCase shuffled_switches(const RoutingCase& c, std::mt19937& rng) {
+  const std::size_t n = c.topo.switches.size();
+  std::vector<int> new_index(n);
+  for (std::size_t s = 0; s < n; ++s) new_index[s] = static_cast<int>(s);
+  std::shuffle(new_index.begin(), new_index.end(), rng);
+  RoutingCase out = c;
+  for (std::size_t s = 0; s < n; ++s) {
+    const auto t = static_cast<std::size_t>(new_index[s]);
+    out.topo.switches[t] = c.topo.switches[s];
+    out.max_ports[t] = c.max_ports[s];
+  }
+  for (int& sw : out.topo.switch_of_core) {
+    sw = new_index[static_cast<std::size_t>(sw)];
+  }
+  return out;
+}
+
+/// True when some island's (or the intermediate VI's) switches are not
+/// index-consecutive.
+bool islands_interleave(const core::NocTopology& topo) {
+  std::set<soc::IslandId> closed;
+  for (std::size_t s = 1; s < topo.switches.size(); ++s) {
+    const soc::IslandId prev = topo.switches[s - 1].island;
+    if (topo.switches[s].island == prev) continue;
+    closed.insert(prev);
+    if (closed.count(topo.switches[s].island) != 0) return true;
+  }
+  return false;
+}
+
 /// First difference between the engine's and the oracle's routing of one
 /// case, or "" when they agree bit for bit. Topologies are compared on
 /// success only: a failed routing leaves them unspecified.
@@ -598,14 +634,18 @@ std::string routing_diff(const core::RouteOutcome& e, const core::NocTopology& e
 
 TEST(ReferenceRouter, RandomTopologiesMatchOracle) {
   std::mt19937 rng(23);
+  // The shuffles draw from their own stream, so the cases above do not move.
+  std::mt19937 shuffle_rng(24);
   core::RouterScratch scratch;  // one arena across every case
   int mismatches = 0;
   int routed = 0;
   int latency_failures = 0;
   int ring_routed = 0;
+  int interleaved = 0;
   constexpr int kCases = 20000;
-  for (int i = 0; i < kCases; ++i) {
-    const RoutingCase c = random_routing_case(rng);
+  // Routes `c` through both routers; returns the oracle's outcome and
+  // topology.
+  auto diff_case = [&](const RoutingCase& c, int i, const char* layout) {
     core::RouterOptions eo;
     eo.alpha_power = c.alpha;
     eo.link_width_bits = c.width;
@@ -621,12 +661,23 @@ TEST(ReferenceRouter, RandomTopologiesMatchOracle) {
     core::NocTopology et = c.topo;
     core::NocTopology rt = c.topo;
     const core::RouteOutcome e = core::route_all_flows(et, c.spec, eo, &scratch);
-    const reference::RouteOutcome r = reference::route_all_flows(rt, c.spec, ro);
+    reference::RouteOutcome r = reference::route_all_flows(rt, c.spec, ro);
     const std::string diff = routing_diff(e, et, r, rt);
     if (!diff.empty() && ++mismatches <= 5) {
-      ADD_FAILURE() << "random routing case " << i << " (alpha " << c.alpha
-                    << ", width " << c.width << ", " << c.topo.switches.size()
-                    << " switches, " << c.spec.flows.size() << " flows): " << diff;
+      ADD_FAILURE() << "random routing case " << i << " (" << layout
+                    << " layout, alpha " << c.alpha << ", width " << c.width
+                    << ", " << c.topo.switches.size() << " switches, "
+                    << c.spec.flows.size() << " flows): " << diff;
+    }
+    return std::make_pair(std::move(r), std::move(rt));
+  };
+  for (int i = 0; i < kCases; ++i) {
+    const RoutingCase c = random_routing_case(rng);
+    const auto [r, rt] = diff_case(c, i, "generated");
+    if (std::uniform_int_distribution<int>(0, 3)(shuffle_rng) == 0) {
+      const RoutingCase shuffled = shuffled_switches(c, shuffle_rng);
+      interleaved += islands_interleave(shuffled.topo) ? 1 : 0;
+      (void)diff_case(shuffled, i, "shuffled");
     }
     routed += r.success ? 1 : 0;
     latency_failures += r.latency_violation ? 1 : 0;
@@ -647,6 +698,8 @@ TEST(ReferenceRouter, RandomTopologiesMatchOracle) {
   EXPECT_GT(ring_routed, kCases / 100);
   EXPECT_GT(latency_failures, kCases / 50);
   EXPECT_GT(kCases - routed - latency_failures, kCases / 50);
+  // The shuffled layouts interleave islands (one case in four is shuffled).
+  EXPECT_GT(interleaved, kCases / 5);
 }
 
 }  // namespace

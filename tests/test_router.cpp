@@ -470,6 +470,61 @@ TEST(Router, GoalBoundKeepsEqualCostTieBreaks) {
   }
 }
 
+TEST(Router, RecordedHopsMatchLinkFirstUsers) {
+  // One island, three switches in a row. Switch 0 has room for one link
+  // port, so the 0->2 flow must reuse 0->1 and open 1->2 on one route; the
+  // 1->2 flow then reuses that link and 2->1 opens its own.
+  Fixture fx(1, 0, 8);
+  for (int i = 1; i < 3; ++i) {
+    soc::CoreSpec c;
+    c.name = "c" + std::to_string(i);
+    c.island = 0;
+    fx.spec.cores.push_back(c);
+    SwitchInst sw;
+    sw.island = 0;
+    sw.freq_hz = 400e6;
+    sw.pos = {static_cast<double>(i) * 2.0, 0.0};
+    sw.cores = {static_cast<soc::CoreId>(i)};
+    fx.topo.switches.push_back(sw);
+    fx.topo.switch_of_core.push_back(i);
+    fx.topo.ni_wire_mm.push_back(0.5);
+  }
+  fx.opts.max_ports = {2, 8, 8};
+  fx.add_flow(0, 1, 3e9, 30);
+  fx.add_flow(0, 2, 2e9, 30);
+  fx.add_flow(1, 2, 1e9, 30);
+  fx.add_flow(2, 1, 5e8, 30);
+  DeltaReference rec;
+  const RouteOutcome out =
+      route_all_flows(fx.topo, fx.spec, fx.opts, nullptr, nullptr, &rec);
+  ASSERT_TRUE(out.success) << out.failure_reason;
+  const std::vector<std::size_t> order = bandwidth_descending_order(fx.spec);
+  ASSERT_EQ(rec.records.size(), order.size());
+  int opened = 0;
+  int reused = 0;
+  for (std::size_t pos = 0; pos < order.size(); ++pos) {
+    const std::size_t f = order[pos];
+    const std::vector<DeltaHop>& hops = rec.records[pos].hops;
+    const FlowRoute& route = fx.topo.routes[f];
+    ASSERT_EQ(hops.size(), route.links.size()) << "flow " << f;
+    for (std::size_t h = 0; h < hops.size(); ++h) {
+      const TopLink& l = fx.topo.links[static_cast<std::size_t>(route.links[h])];
+      EXPECT_EQ(hops[h].src, l.src_switch) << "flow " << f << " hop " << h;
+      EXPECT_EQ(hops[h].dst, l.dst_switch) << "flow " << f << " hop " << h;
+      // A hop opens its link iff this flow is the link's first user.
+      EXPECT_EQ(hops[h].open != 0, l.flows.front() == static_cast<int>(f))
+          << "flow " << f << " hop " << h;
+      (hops[h].open != 0 ? opened : reused) += 1;
+    }
+  }
+  EXPECT_EQ(opened, 3);
+  EXPECT_EQ(reused, 2);
+  // The 0->2 flow reuses 0->1 and opens 1->2 on one route.
+  ASSERT_EQ(rec.records[1].hops.size(), 2u);
+  EXPECT_EQ(rec.records[1].hops[0].open, 0);
+  EXPECT_EQ(rec.records[1].hops[1].open, 1);
+}
+
 TEST(RouteLatency, FormulaMatchesHeaderDoc) {
   Fixture fx(2, 1, 8);
   fx.add_flow(0, 1, 1e9, 30);
