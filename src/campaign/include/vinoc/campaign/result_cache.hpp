@@ -119,6 +119,8 @@ class ResultCache {
 
  private:
   std::string record_line(const JobRecord& record) const;
+  /// store_bytes_, summed over store_order_ first when it is not known.
+  std::uint64_t store_bytes_locked();
   void rewrite_store_locked(const std::vector<std::uint64_t>& keys);
   void evict_to_cap_locked();
 
@@ -131,7 +133,9 @@ class ResultCache {
   /// Append/identity order of the keys currently ON DISK — what eviction
   /// and compaction replay (records_ alone has no order).
   std::vector<std::uint64_t> store_order_;
-  std::uint64_t store_bytes_ = 0;
+  /// Canonical size (record_line + '\n') of the lines on disk; unknown
+  /// after a load until a size cap needs it.
+  std::optional<std::uint64_t> store_bytes_ = 0;
   std::uint64_t store_max_bytes_ = 0;
   std::uint64_t recovered_records_ = 0;
   std::uint64_t evicted_records_ = 0;

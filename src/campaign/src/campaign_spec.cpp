@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
@@ -97,42 +98,53 @@ std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
   ExpandStats local;
   std::vector<CampaignJob> jobs;
   std::unordered_set<std::uint64_t> seen;
-  auto emit = [&](const Scenario& sc, const std::string& strategy,
-                  std::string name, soc::SocSpec job_spec, int width) {
-    ++local.raw;
-    if (!name_passes_filters(name, spec)) {
-      ++local.filtered;
-      return;
+  // Emits one job per width of one islanded spec. The spec is hashed once,
+  // when the first width passes the filters, and copied into every kept job
+  // but the last, which takes it.
+  auto emit_widths = [&](const Scenario& sc, const std::string& strategy,
+                         const std::string& prefix, soc::SocSpec job_spec) {
+    std::optional<std::uint64_t> spec_hash;
+    const std::size_t first = jobs.size();
+    for (const int width : spec.widths) {
+      ++local.raw;
+      std::string name = prefix + "/w" + std::to_string(width);
+      if (!name_passes_filters(name, spec)) {
+        ++local.filtered;
+        continue;
+      }
+      if (!spec_hash) spec_hash = hash_soc_spec(job_spec);
+      CampaignJob job;
+      job.name = std::move(name);
+      job.scenario = sc.name;
+      job.strategy = strategy;
+      job.islands = static_cast<int>(job_spec.islands.size());
+      job.width = width;
+      job.seed = sc.seed;
+      job.options = spec.base_options;
+      job.options.link_width_bits = width;
+      job.options.threads = 1;
+      job.options.on_progress = nullptr;
+      job.key = job_key(*spec_hash, job.options);
+      if (!seen.insert(job.key).second) {
+        ++local.deduped;
+        continue;
+      }
+      job.structure_key = structure_key(*spec_hash, job.options);
+      jobs.push_back(std::move(job));
     }
-    CampaignJob job;
-    job.name = std::move(name);
-    job.scenario = sc.name;
-    job.strategy = strategy;
-    job.islands = static_cast<int>(job_spec.islands.size());
-    job.width = width;
-    job.seed = sc.seed;
-    job.options = spec.base_options;
-    job.options.link_width_bits = width;
-    job.options.threads = 1;
-    job.options.on_progress = nullptr;
-    const std::uint64_t spec_hash = hash_soc_spec(job_spec);
-    job.key = job_key(spec_hash, job.options);
-    if (!seen.insert(job.key).second) {
-      ++local.deduped;
-      return;
+    for (std::size_t i = first; i < jobs.size(); ++i) {
+      if (i + 1 < jobs.size()) {
+        jobs[i].spec = job_spec;
+      } else {
+        jobs[i].spec = std::move(job_spec);
+      }
     }
-    job.structure_key = structure_key(spec_hash, job.options);
-    job.spec = std::move(job_spec);
-    jobs.push_back(std::move(job));
   };
 
   for (const Scenario& sc : scenarios) {
     for (const std::string& strategy : spec.strategies) {
       if (strategy == "spec") {
-        for (const int width : spec.widths) {
-          emit(sc, strategy, sc.name + "/spec/w" + std::to_string(width),
-               sc.bench.soc, width);
-        }
+        emit_widths(sc, strategy, sc.name + "/spec", sc.bench.soc);
         continue;
       }
       for (const int islands : spec.island_counts) {
@@ -142,18 +154,13 @@ std::vector<CampaignJob> expand_jobs(const CampaignSpec& spec,
         // one via the ordinary content dedup (visible in ExpandStats).
         const int clamped =
             std::min(islands, static_cast<int>(sc.bench.soc.core_count()));
-        soc::SocSpec islanded =
-            strategy == "logical"
-                ? soc::with_logical_islands(sc.bench.soc, clamped,
-                                            sc.bench.use_cases)
-                : soc::with_communication_islands(sc.bench.soc, clamped,
-                                                  sc.bench.use_cases);
-        for (const int width : spec.widths) {
-          emit(sc, strategy,
-               sc.name + "/" + strategy + "/i" + std::to_string(clamped) +
-                   "/w" + std::to_string(width),
-               islanded, width);
-        }
+        emit_widths(sc, strategy,
+                    sc.name + "/" + strategy + "/i" + std::to_string(clamped),
+                    strategy == "logical"
+                        ? soc::with_logical_islands(sc.bench.soc, clamped,
+                                                    sc.bench.use_cases)
+                        : soc::with_communication_islands(sc.bench.soc, clamped,
+                                                          sc.bench.use_cases));
       }
     }
   }

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -18,6 +18,33 @@ namespace {
 /// one flaky write is worth retrying on the next record, a dead disk is not
 /// worth stalling every job on.
 constexpr std::uint64_t kDegradeAfterErrors = 3;
+
+/// Reads the whole file at `path` into `text` in one read; false when it
+/// cannot be opened.
+bool read_file(const std::string& path, std::string& text) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  const std::streamoff size = in.tellg();
+  text.resize(size > 0 ? static_cast<std::size_t>(size) : 0);
+  in.seekg(0);
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return true;
+}
+
+/// The '\n'-separated lines of `text`, without their newlines; a final
+/// line without one (a torn tail) is included.
+std::vector<std::string_view> lines_of(std::string_view text) {
+  std::vector<std::string_view> lines;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    lines.push_back(text.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return lines;
+}
 
 }  // namespace
 
@@ -76,10 +103,21 @@ void ResultCache::put_record(const JobRecord& record) {
     return;
   }
   store_order_.push_back(record.key);
-  store_bytes_ += line.size() + 1;
-  if (store_max_bytes_ > 0 && store_bytes_ > store_max_bytes_) {
+  if (store_bytes_) *store_bytes_ += line.size() + 1;
+  if (store_max_bytes_ > 0 && store_bytes_locked() > store_max_bytes_) {
     evict_to_cap_locked();
   }
+}
+
+std::uint64_t ResultCache::store_bytes_locked() {
+  if (!store_bytes_) {
+    std::uint64_t bytes = 0;
+    for (const std::uint64_t key : store_order_) {
+      bytes += record_line(records_.at(key)).size() + 1;
+    }
+    store_bytes_ = bytes;
+  }
+  return *store_bytes_;
 }
 
 void ResultCache::rewrite_store_locked(const std::vector<std::uint64_t>& keys) {
@@ -145,29 +183,21 @@ StoreRecoveryStats ResultCache::load_store() {
   const std::lock_guard<std::mutex> lock(mutex_);
   StoreRecoveryStats stats;
   store_order_.clear();
-  store_bytes_ = 0;
+  // The canonical size of the loaded lines is summed only when a size cap
+  // asks for it (store_bytes_locked).
+  store_bytes_.reset();
   if (dir_.empty()) return stats;
   std::string text;
-  {
-    std::ifstream in(store_path(), std::ios::binary);
-    if (!in) return stats;
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  if (!read_file(store_path(), text)) return stats;
   // A store that does not end in '\n' has a crash-torn tail: the final
   // append was cut mid-line. The torn line itself almost always fails its
   // checksum below; republishing the store is what matters either way,
   // because appending after a newline-less tail would CONCATENATE the next
   // record onto the torn bytes and corrupt both.
   bool needs_rewrite = !text.empty() && text.back() != '\n';
-  std::vector<std::string> quarantined;
+  std::vector<std::string_view> quarantined;
   std::unordered_set<std::uint64_t> on_disk;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
+  for (const std::string_view line : lines_of(text)) {
     if (line.empty()) {
       needs_rewrite = true;  // stray blank line: drop on republish
       continue;
@@ -192,7 +222,6 @@ StoreRecoveryStats ResultCache::load_store() {
     const std::uint64_t key = rec.key;
     if (records_.emplace(key, std::move(rec)).second) ++stats.loaded;
     store_order_.push_back(key);
-    store_bytes_ += record_line(records_.at(key)).size() + 1;
   }
   recovered_records_ += stats.recovered;
   if (!quarantined.empty()) {
@@ -200,13 +229,13 @@ StoreRecoveryStats ResultCache::load_store() {
     if (out) {
       // Each rejected line rides inside a checksummed envelope so the
       // quarantine ledger itself stays verifiable (vinoc store verify).
-      for (const std::string& line : quarantined) {
+      for (const std::string_view line : quarantined) {
         out << io::quarantine_envelope(line, "store recovery") << '\n';
       }
     }
   }
   const std::size_t evicted_before = static_cast<std::size_t>(evicted_records_);
-  if (store_max_bytes_ > 0 && store_bytes_ > store_max_bytes_) {
+  if (store_max_bytes_ > 0 && store_bytes_locked() > store_max_bytes_) {
     evict_to_cap_locked();  // republishes the store itself
     stats.evicted = static_cast<std::size_t>(evicted_records_) - evicted_before;
     stats.rewritten = true;
@@ -219,20 +248,10 @@ StoreRecoveryStats ResultCache::load_store() {
 
 std::size_t ResultCache::load_side_store(const std::string& path) {
   std::string text;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return 0;
-    text.assign(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
-  }
+  if (!read_file(path, text)) return 0;
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t loaded = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
+  for (const std::string_view line : lines_of(text)) {
     if (line.empty()) continue;
     std::string payload;
     const io::ChecksumStatus cs = io::verify_line_checksum(line, &payload);

@@ -269,6 +269,9 @@ class OutcomeMerger {
   SynthesisResult& result_;
   ParetoBound merge_bound_;
   std::set<std::vector<int>> seen_designs_;
+  /// The shared outcome whose signature was last looked up in
+  /// seen_designs_ (held, so its address cannot be reused).
+  std::shared_ptr<const CandidateOutcome> last_shared_;
   std::size_t index_ = 0;
 };
 

@@ -649,10 +649,16 @@ void OutcomeMerger::add(CandidateOutcome&& out) {
   ++result_.stats.configs_routed;
   // A skipped member's signature and design live in its reference's shared
   // outcome: look the signature up there (copied only when new) and copy
-  // the design only when it is saved.
-  const bool fresh = out.shared != nullptr
-                         ? seen_designs_.insert(out.shared->signature).second
-                         : seen_designs_.insert(std::move(out.signature)).second;
+  // the design only when it is saved. A member sharing the outcome the last
+  // shared lookup went through is a duplicate without another lookup: that
+  // signature is in the set, which never shrinks.
+  bool fresh = false;
+  if (out.shared == nullptr) {
+    fresh = seen_designs_.insert(std::move(out.signature)).second;
+  } else if (out.shared != last_shared_) {
+    fresh = seen_designs_.insert(out.shared->signature).second;
+    last_shared_ = out.shared;
+  }
   if (!fresh) {
     ++result_.stats.rejected_duplicate;
     return;

@@ -26,6 +26,12 @@
 // with no cut between them the skip is exact in real arithmetic, but FM
 // can count rounding noise above its 1e-12 threshold as a gain there, and
 // on random graphs with large weights the skip changed results.
+//
+// agglomerative_cluster() is pinned the same way to its first version,
+// vendored as vinoc::reference::agglomerative_cluster: same block_of,
+// blocks, feasible and cut_weight bits. It coalesces the graph once into a
+// flat pair-weight matrix and keeps each row's best partner, so a merge
+// rescans only the rows whose best partner it changed.
 #pragma once
 
 #include <cstddef>

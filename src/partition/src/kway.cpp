@@ -42,14 +42,12 @@ struct Pair {
   double weight;
 };
 
-/// Coalesces `g` once: the pairs in (lo, hi) order and the whole graph's
-/// adjacency. These are the pairs, the order and the double sums of
-/// Digraph::undirected_view() (a std::map keyed by (min, max) whose value
-/// starts at 0.0 and adds the pair's edges in edge order) minus its self
-/// loops, which no cut or gain ever counts. Adjacency rows come out in
-/// ascending neighbour order because the pairs are pushed in (lo, hi) order.
-void coalesce(const Digraph& g, std::vector<Pair>& pairs, Adjacency& adj) {
-  const std::size_t n = g.node_count();
+/// Coalesces `g` into its undirected pairs in (lo, hi) order. These are the
+/// pairs, the order and the double sums of Digraph::undirected_view() (a
+/// std::map keyed by (min, max) whose value starts at 0.0 and adds the
+/// pair's edges in edge order) minus its self loops, which no cut, gain or
+/// merge ever counts.
+std::vector<Pair> coalesce(const Digraph& g) {
   std::vector<Pair> keyed;  // one per edge, in edge order
   for (const graph::Edge& e : g.edges()) {
     if (e.src != e.dst) {
@@ -59,13 +57,20 @@ void coalesce(const Digraph& g, std::vector<Pair>& pairs, Adjacency& adj) {
   std::stable_sort(keyed.begin(), keyed.end(), [](const Pair& a, const Pair& b) {
     return std::tie(a.lo, a.hi) < std::tie(b.lo, b.hi);
   });
+  std::vector<Pair> pairs;
   for (const Pair& e : keyed) {
     if (pairs.empty() || pairs.back().lo != e.lo || pairs.back().hi != e.hi) {
       pairs.push_back({e.lo, e.hi, 0.0});
     }
     pairs.back().weight += e.weight;
   }
+  return pairs;
+}
 
+/// The adjacency of `n` nodes joined by `pairs`. Rows come out in
+/// ascending neighbour order because the pairs are in (lo, hi) order.
+Adjacency adjacency(std::size_t n, const std::vector<Pair>& pairs) {
+  Adjacency adj;
   adj.offset.assign(n + 1, 0);
   for (const Pair& p : pairs) {
     ++adj.offset[static_cast<std::size_t>(p.lo) + 1];
@@ -78,6 +83,19 @@ void coalesce(const Digraph& g, std::vector<Pair>& pairs, Adjacency& adj) {
     adj.arcs[fill[static_cast<std::size_t>(p.lo)]++] = {p.hi, p.weight};
     adj.arcs[fill[static_cast<std::size_t>(p.hi)]++] = {p.lo, p.weight};
   }
+  return adj;
+}
+
+/// Undirected cut of `block_of`: the pairs' weights summed in (lo, hi)
+/// order, as Digraph::undirected_view().cut_weight() adds them.
+double cut_weight(const std::vector<Pair>& pairs, const std::vector<int>& block_of) {
+  double cut = 0.0;
+  for (const Pair& p : pairs) {
+    if (block_of[static_cast<std::size_t>(p.lo)] != block_of[static_cast<std::size_t>(p.hi)]) {
+      cut += p.weight;
+    }
+  }
+  return cut;
 }
 
 /// True when some node of a bisection with `size0` of its `n` nodes on
@@ -120,9 +138,11 @@ struct Partitioner {
   std::vector<Move> moves;
 
   Partitioner(const Digraph& g, const KwayOptions& opts)
-      : options(opts), rng(opts.seed), local_of(g.node_count(), -1) {
-    coalesce(g, pairs, whole);
-  }
+      : options(opts),
+        pairs(coalesce(g)),
+        whole(adjacency(g.node_count(), pairs)),
+        rng(opts.seed),
+        local_of(g.node_count(), -1) {}
 
   /// Builds `local` for `nodes` (ascending original ids) in O(sum of deg).
   void build_local(std::span<const NodeId> nodes) {
@@ -398,18 +418,6 @@ struct Partitioner {
       if (!improved) break;
     }
   }
-
-  /// Undirected cut of `block_of`: the pairs' weights summed in (lo, hi)
-  /// order, as Digraph::undirected_view().cut_weight() adds them.
-  [[nodiscard]] double cut_weight(const std::vector<int>& block_of) const {
-    double cut = 0.0;
-    for (const Pair& p : pairs) {
-      if (block_of[static_cast<std::size_t>(p.lo)] != block_of[static_cast<std::size_t>(p.hi)]) {
-        cut += p.weight;
-      }
-    }
-    return cut;
-  }
 };
 
 }  // namespace
@@ -438,7 +446,7 @@ PartitionResult kway_mincut(const Digraph& g, const KwayOptions& options) {
     part.pairwise_refine(result.block_of);
   }
 
-  result.cut_weight = part.cut_weight(result.block_of);
+  result.cut_weight = cut_weight(part.pairs, result.block_of);
   result.feasible = true;
   if (options.max_block_size > 0) {
     for (const std::size_t s : block_sizes(result.block_of, options.blocks)) {
@@ -467,40 +475,58 @@ PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
     throw std::invalid_argument("agglomerative_cluster: size cap cannot fit");
   }
 
-  const Digraph u = g.undirected_view();
-  // cluster id per node; clusters are merged by relabelling (n is small --
-  // tens of cores -- so the quadratic approach is fine and simple).
+  // Inter-cluster weights in one flat symmetric matrix, from the coalesced
+  // pairs (self loops never count toward a merge).
+  const std::vector<Pair> pairs = coalesce(g);
+  std::vector<double> w(n * n, 0.0);
+  for (const Pair& p : pairs) {
+    const auto a = static_cast<std::size_t>(p.lo);
+    const auto b = static_cast<std::size_t>(p.hi);
+    w[a * n + b] += p.weight;
+    w[b * n + a] += p.weight;
+  }
+  // cluster id per node; clusters are merged by relabelling.
   std::vector<int> cl(n);
   std::iota(cl.begin(), cl.end(), 0);
   std::vector<std::size_t> size(n, 1);
-  int alive = static_cast<int>(n);
-
-  // Pairwise inter-cluster weights.
-  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
-  for (const auto& e : u.edges()) {
-    const auto a = static_cast<std::size_t>(e.src);
-    const auto b = static_cast<std::size_t>(e.dst);
-    if (a == b) continue;
-    w[a][b] += e.weight;
-    w[b][a] += e.weight;
-  }
-
   std::vector<bool> dead(n, false);
+  int alive = static_cast<int>(n);
+  const auto fits = [&](std::size_t a, std::size_t b) {
+    return max_cluster_size == 0 || size[a] + size[b] <= max_cluster_size;
+  };
+
+  // Each live row a keeps its best partner b > a: the first b in ascending
+  // order with the largest weight above -1 among live pairs within the cap.
+  // The heaviest pair overall is then the first row holding the largest
+  // row best, the pair a full scan in (a, b) order with a strict > would
+  // pick. Merging b into a changes row a, and in any other row c only the
+  // entry (c, a) (weight and fit) and the entry (c, b) (now dead). A row c
+  // whose best partner was neither a nor b keeps every other entry, so its
+  // new best is the old one or (c, a). One whose best was a or b, worth w,
+  // had every entry before that best below w and every other one at most
+  // w; since a < b, a fitting (c, a) worth at least w is its new best.
+  // Only the remaining rows are rescanned.
+  struct RowBest {
+    double w = -1.0;
+    int b = -1;
+  };
+  std::vector<RowBest> best(n);
+  const auto rescan = [&](std::size_t a) {
+    RowBest r;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (!dead[b] && fits(a, b) && w[a * n + b] > r.w) r = {w[a * n + b], static_cast<int>(b)};
+    }
+    best[a] = r;
+  };
+  for (std::size_t a = 0; a < n; ++a) rescan(a);
+
   while (alive > clusters) {
-    // Heaviest mergeable pair; ties broken by (a, b) for determinism.
     int best_a = -1;
-    int best_b = -1;
     double best_w = -1.0;
     for (std::size_t a = 0; a < n; ++a) {
-      if (dead[a]) continue;
-      for (std::size_t b = a + 1; b < n; ++b) {
-        if (dead[b]) continue;
-        if (max_cluster_size > 0 && size[a] + size[b] > max_cluster_size) continue;
-        if (w[a][b] > best_w) {
-          best_w = w[a][b];
-          best_a = static_cast<int>(a);
-          best_b = static_cast<int>(b);
-        }
+      if (!dead[a] && best[a].b >= 0 && best[a].w > best_w) {
+        best_w = best[a].w;
+        best_a = static_cast<int>(a);
       }
     }
     if (best_a < 0) {
@@ -508,17 +534,33 @@ PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
       break;
     }
     const auto a = static_cast<std::size_t>(best_a);
+    const int best_b = best[a].b;
     const auto b = static_cast<std::size_t>(best_b);
     for (std::size_t c = 0; c < n; ++c) {
       if (dead[c] || c == a || c == b) continue;
-      w[a][c] += w[b][c];
-      w[c][a] += w[c][b];
+      const double merged = w[a * n + c] + w[b * n + c];
+      w[a * n + c] = merged;
+      w[c * n + a] = merged;
     }
     size[a] += size[b];
     dead[b] = true;
     --alive;
     for (std::size_t v = 0; v < n; ++v) {
       if (cl[v] == best_b) cl[v] = best_a;
+    }
+    rescan(a);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (dead[c] || c == a) continue;
+      RowBest& r = best[c];
+      const bool lost = r.b == best_a || r.b == best_b;
+      if (c < a && fits(c, a)) {
+        const double wa = w[c * n + a];
+        if (lost ? wa >= r.w : wa > r.w || (r.b >= 0 && wa == r.w && best_a < r.b)) {
+          r = {wa, best_a};
+          continue;
+        }
+      }
+      if (lost) rescan(c);
     }
   }
 
@@ -533,7 +575,7 @@ PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
   }
   result.blocks = next;
   if (alive == clusters) result.feasible = true;
-  result.cut_weight = u.cut_weight(result.block_of);
+  result.cut_weight = cut_weight(pairs, result.block_of);
   return result;
 }
 

@@ -13,6 +13,7 @@
 // just build the input variants the experiments sweep over.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,14 @@ struct UseCase {
 [[nodiscard]] SocSpec with_logical_islands(const SocSpec& base, int island_count,
                                            const std::vector<UseCase>& use_cases = {});
 
+/// Cluster size cap of with_communication_islands for `cores` cores in
+/// `island_count` islands: 1.5x the balanced share (at least 2), or 0 (no
+/// cap) for a single island. Requires island_count >= 1.
+[[nodiscard]] std::size_t communication_cluster_cap(std::size_t cores, int island_count);
+
 /// Rebuilds `base` with `island_count` islands by agglomerative clustering of
-/// the core communication graph (heaviest-bandwidth pairs merge first).
+/// the core communication graph (heaviest-bandwidth pairs merge first) under
+/// communication_cluster_cap.
 [[nodiscard]] SocSpec with_communication_islands(
     const SocSpec& base, int island_count,
     const std::vector<UseCase>& use_cases = {});

@@ -186,23 +186,24 @@ SocSpec with_logical_islands(const SocSpec& base, int island_count,
   return with_explicit_islands(base, island_of, next, use_cases);
 }
 
+std::size_t communication_cluster_cap(std::size_t cores, int island_count) {
+  // Pure greedy agglomeration would absorb every core into the memory-hub
+  // cluster (hub-and-spoke traffic), leaving no island that can run its NoC
+  // slower.
+  if (island_count == 1) return 0;
+  const auto k = static_cast<std::size_t>(island_count);
+  return std::max<std::size_t>(2, (cores * 3 + 2 * k - 1) / (2 * k));
+}
+
 SocSpec with_communication_islands(const SocSpec& base, int island_count,
                                    const std::vector<UseCase>& use_cases) {
   const auto n = static_cast<int>(base.cores.size());
   if (island_count < 1 || island_count > n) {
     throw std::invalid_argument("with_communication_islands: island_count out of range");
   }
-  // Cap cluster sizes at 1.5x the balanced share: pure greedy agglomeration
-  // would absorb every core into the memory-hub cluster (hub-and-spoke
-  // traffic), leaving no island that can run its NoC slower.
-  const std::size_t n_cores = base.cores.size();
-  const std::size_t cap =
-      island_count == 1
-          ? 0
-          : std::max<std::size_t>(2, (n_cores * 3 + 2 * static_cast<std::size_t>(island_count) - 1) /
-                                         (2 * static_cast<std::size_t>(island_count)));
-  const partition::PartitionResult clustering =
-      partition::agglomerative_cluster(base.core_graph(), island_count, cap);
+  const partition::PartitionResult clustering = partition::agglomerative_cluster(
+      base.core_graph(), island_count,
+      communication_cluster_cap(base.cores.size(), island_count));
   return with_explicit_islands(base, clustering.block_of, clustering.blocks,
                                use_cases);
 }

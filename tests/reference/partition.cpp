@@ -307,4 +307,93 @@ partition::PartitionResult kway_mincut(const Digraph& g,
   return result;
 }
 
+partition::PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
+                                                 std::size_t max_cluster_size) {
+  if (clusters < 1) throw std::invalid_argument("agglomerative_cluster: clusters < 1");
+  const std::size_t n = g.node_count();
+  partition::PartitionResult result;
+  result.blocks = clusters;
+  result.block_of.assign(n, 0);
+  if (n == 0) {
+    result.feasible = true;
+    return result;
+  }
+  if (static_cast<std::size_t>(clusters) > n) {
+    throw std::invalid_argument("agglomerative_cluster: clusters > node_count");
+  }
+  if (max_cluster_size > 0 &&
+      static_cast<std::size_t>(clusters) * max_cluster_size < n) {
+    throw std::invalid_argument("agglomerative_cluster: size cap cannot fit");
+  }
+
+  const Digraph u = g.undirected_view();
+  // cluster id per node; clusters are merged by relabelling (n is small --
+  // tens of cores -- so the quadratic approach is fine and simple).
+  std::vector<int> cl(n);
+  std::iota(cl.begin(), cl.end(), 0);
+  std::vector<std::size_t> size(n, 1);
+  int alive = static_cast<int>(n);
+
+  // Pairwise inter-cluster weights.
+  std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+  for (const auto& e : u.edges()) {
+    const auto a = static_cast<std::size_t>(e.src);
+    const auto b = static_cast<std::size_t>(e.dst);
+    if (a == b) continue;
+    w[a][b] += e.weight;
+    w[b][a] += e.weight;
+  }
+
+  std::vector<bool> dead(n, false);
+  while (alive > clusters) {
+    // Heaviest mergeable pair; ties broken by (a, b) for determinism.
+    int best_a = -1;
+    int best_b = -1;
+    double best_w = -1.0;
+    for (std::size_t a = 0; a < n; ++a) {
+      if (dead[a]) continue;
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (dead[b]) continue;
+        if (max_cluster_size > 0 && size[a] + size[b] > max_cluster_size) continue;
+        if (w[a][b] > best_w) {
+          best_w = w[a][b];
+          best_a = static_cast<int>(a);
+          best_b = static_cast<int>(b);
+        }
+      }
+    }
+    if (best_a < 0) {
+      result.feasible = false;  // cap made further merging impossible
+      break;
+    }
+    const auto a = static_cast<std::size_t>(best_a);
+    const auto b = static_cast<std::size_t>(best_b);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (dead[c] || c == a || c == b) continue;
+      w[a][c] += w[b][c];
+      w[c][a] += w[c][b];
+    }
+    size[a] += size[b];
+    dead[b] = true;
+    --alive;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (cl[v] == best_b) cl[v] = best_a;
+    }
+  }
+
+  // Compact cluster ids to [0, clusters).
+  std::vector<int> remap(n, -1);
+  int next = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (remap[static_cast<std::size_t>(cl[v])] == -1) {
+      remap[static_cast<std::size_t>(cl[v])] = next++;
+    }
+    result.block_of[v] = remap[static_cast<std::size_t>(cl[v])];
+  }
+  result.blocks = next;
+  if (alive == clusters) result.feasible = true;
+  result.cut_weight = u.cut_weight(result.block_of);
+  return result;
+}
+
 }  // namespace vinoc::reference

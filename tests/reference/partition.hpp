@@ -1,5 +1,6 @@
 // Reference partitioner: the seed's balanced k-way min-cut (Algorithm 1
-// step 11), kept outside the engine as a test oracle (see README.md in this
+// step 11) and its greedy clustering of cores into communication-based
+// islands, kept outside the engine as test oracles (see README.md in this
 // directory).
 //
 // Recursive bisection on the undirected coalesced view of the graph: each
@@ -20,5 +21,11 @@ namespace vinoc::reference {
 /// impossible cap (blocks * max_block_size < node_count).
 partition::PartitionResult kway_mincut(const graph::Digraph& g,
                                        const partition::KwayOptions& options);
+
+/// Greedy agglomerative clustering as partition::agglomerative_cluster was
+/// first written: a dense matrix of pair weights from the undirected view,
+/// and a full rescan of every live pair before each merge.
+partition::PartitionResult agglomerative_cluster(const graph::Digraph& g, int clusters,
+                                                 std::size_t max_cluster_size = 0);
 
 }  // namespace vinoc::reference

@@ -1,5 +1,6 @@
 // Absolute golden pins: literal result_fingerprint values for a fixed
-// matrix of synthesize() runs and explore_link_widths() sweeps. Most
+// matrix of synthesize() runs and explore_link_widths() sweeps, and the
+// literal job and structure keys of a small campaign. Most
 // bit-identity tests compare two paths of the same binary (sweep vs solo,
 // delta on vs off), so a change to the shared routing kernel moves both
 // sides together and stays invisible there; these pins catch it, and
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "vinoc/campaign/campaign_spec.hpp"
 #include "vinoc/campaign/spec_hash.hpp"
 #include "vinoc/core/explore.hpp"
 #include "vinoc/core/synthesis.hpp"
@@ -112,6 +114,60 @@ TEST(Golden, WidthSweepEntries) {
     }
     expect_pins(std::string("sweep ") + c.name, actual, c.pins);
   }
+}
+
+TEST(Golden, CampaignJobKeys) {
+  // Job keys address the on-disk store of every earlier campaign: a key
+  // that moves turns each stored record into a miss. The matrix covers the
+  // three strategies, the clustering behind "comm" and the width axis.
+  campaign::CampaignSpec spec;
+  spec.name = "keys";
+  spec.benchmarks = {"d26"};
+  campaign::SyntheticScenario family;
+  family.params.cores = 12;
+  family.params.hubs = 2;
+  family.params.seed = 5;
+  spec.synthetic = {family};
+  spec.strategies = {"logical", "comm", "spec"};
+  spec.island_counts = {2, 3};
+  spec.widths = {32, 64};
+  struct Pin {
+    const char* name;
+    std::uint64_t key;
+    std::uint64_t structure_key;
+  };
+  const std::vector<Pin> pins = {
+      {"d26/logical/i2/w32", 0xf3ae58b624026f15ULL, 0x5dbe16662a8a2930ULL},
+      {"d26/logical/i2/w64", 0x43eb89156ff84a88ULL, 0x5dbe16662a8a2930ULL},
+      {"d26/logical/i3/w32", 0x511eca7d5415fb21ULL, 0x8f923afcf2498cccULL},
+      {"d26/logical/i3/w64", 0x91448c38051eb64cULL, 0x8f923afcf2498cccULL},
+      {"d26/comm/i2/w32", 0xa632c26023f7dc06ULL, 0x1a18004aa9ce1eb3ULL},
+      {"d26/comm/i2/w64", 0xaf73cc15fc2177efULL, 0x1a18004aa9ce1eb3ULL},
+      {"d26/comm/i3/w32", 0xd64bad9c36a02b95ULL, 0xec777606cb3a7eb0ULL},
+      {"d26/comm/i3/w64", 0x88c75559506d1a08ULL, 0xec777606cb3a7eb0ULL},
+      {"d26/spec/w32", 0xeb21389dce5a55e9ULL, 0x8689b90dbc1ae504ULL},
+      {"d26/spec/w64", 0xb3fef3311a5cf074ULL, 0x8689b90dbc1ae504ULL},
+      {"synthetic_c12_s5/logical/i2/w32", 0x88b3feb25e72c698ULL, 0xd4680731f03a7d09ULL},
+      {"synthetic_c12_s5/logical/i2/w64", 0xeb13283496ff66c9ULL, 0xd4680731f03a7d09ULL},
+      {"synthetic_c12_s5/logical/i3/w32", 0x07679e1ec3828023ULL, 0x0bd3d347849fdef2ULL},
+      {"synthetic_c12_s5/logical/i3/w64", 0x5b3859bfa951a1f6ULL, 0x0bd3d347849fdef2ULL},
+      {"synthetic_c12_s5/comm/i2/w32", 0xe7ec9b4576dac9d8ULL, 0x76a89bdbe7354fc9ULL},
+      {"synthetic_c12_s5/comm/i2/w64", 0x99fa51089b3e1a89ULL, 0x76a89bdbe7354fc9ULL},
+      {"synthetic_c12_s5/comm/i3/w32", 0x750bccd8a3577574ULL, 0xc313a76b17666435ULL},
+      {"synthetic_c12_s5/comm/i3/w64", 0x93c2de13e2a2ed7dULL, 0xc313a76b17666435ULL},
+      {"synthetic_c12_s5/spec/w32", 0xaa8919e1627dc6a0ULL, 0x5df00472159548e1ULL},
+      {"synthetic_c12_s5/spec/w64", 0x7dc4d67dd2bc9f71ULL, 0x5df00472159548e1ULL},
+  };
+  const std::vector<campaign::CampaignJob> jobs = campaign::expand_jobs(spec);
+  ASSERT_EQ(jobs.size(), pins.size());
+  std::vector<std::uint64_t> actual;
+  std::vector<std::uint64_t> pinned;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(jobs[i].name, pins[i].name);
+    actual.insert(actual.end(), {jobs[i].key, jobs[i].structure_key});
+    pinned.insert(pinned.end(), {pins[i].key, pins[i].structure_key});
+  }
+  expect_pins("campaign job keys", actual, pinned);
 }
 
 }  // namespace

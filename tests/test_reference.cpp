@@ -24,6 +24,10 @@
 // benchmark inputs issue, plus seeded random graphs, must give the same
 // blocks, the same cut bits and the same feasibility.
 //
+// So is the engine's greedy clustering into communication-based islands,
+// against the first version of it, on every campaign-mix SoC and on seeded
+// random graphs.
+//
 // So is the engine's router, against the oracle's dense-Dijkstra router,
 // on seeded hand-built topologies small enough to run thousands of: grid
 // positions make many paths cost bit-equal, so a search shortcut that
@@ -475,6 +479,139 @@ TEST(ReferencePartition, RandomGraphsMatchOracle) {
   const std::vector<PartitionProblem> problems = random_problems(20000);
   EXPECT_EQ(partition_mismatches(problems, false), 0u)
       << "of " << problems.size() << " problems";
+}
+
+/// One clustering problem: a graph, a cluster count and a size cap.
+struct ClusterProblem {
+  std::string where;
+  graph::Digraph graph;
+  int clusters = 2;
+  std::size_t cap = 0;
+};
+
+/// The core graph of every campaign-mix SoC (the perfbench matrix: a 24-core
+/// family with 7 perturbations and a 36-core one with 3) for input seeds
+/// 0-23, at 2-4 clusters under the communication-island cap.
+std::vector<ClusterProblem> campaign_cluster_problems() {
+  std::vector<ClusterProblem> out;
+  const auto add = [&](int cores, int hubs, unsigned seed, int perturbations) {
+    soc::SyntheticParams params;
+    params.cores = cores;
+    params.hubs = hubs;
+    params.seed = seed;
+    for (int v = 0; v <= perturbations; ++v) {
+      const soc::Benchmark b = soc::make_synthetic_soc(
+          soc::perturb_synthetic_params(params, static_cast<unsigned>(v)));
+      for (int k = 2; k <= 4; ++k) {
+        out.push_back({b.soc.name + " p" + std::to_string(v) + " k" + std::to_string(k),
+                       b.soc.core_graph(), k,
+                       soc::communication_cluster_cap(b.soc.cores.size(), k)});
+      }
+    }
+  };
+  for (unsigned seed = 0; seed < 24; ++seed) {
+    add(24, 3, seed, 7);
+    add(36, 4, seed + 4, 3);
+  }
+  return out;
+}
+
+/// Seeded random clustering problems: integer weights 0-3 on one graph in
+/// four and -2-3 on another (many tied pairs), real ones up to 1e6 on the
+/// rest, heavy disjoint pairs on one in four, zero weights,
+/// self loops, parallel and antiparallel edges, and no cap, the tightest cap
+/// that fits or one a little above it (a tight cap often strands the greedy
+/// merge short of its cluster count).
+std::vector<ClusterProblem> random_cluster_problems(std::size_t count) {
+  std::vector<ClusterProblem> out;
+  out.reserve(count);
+  std::mt19937 rng(2609);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    const int n = pick(1, 30);
+    graph::Digraph g(static_cast<std::size_t>(n));
+    const bool integer = i % 2 == 0;
+    // Half the integer graphs also draw negative weights: a merge can then
+    // make a pair lighter, and pairs at or below -1 never merge.
+    const int lowest = i % 4 == 2 ? -2 : 0;
+    // One graph in four first joins nodes 2j and 2j+1 by a heavy edge: the
+    // greedy merge pairs them up before anything else, and an odd cap then
+    // cannot join two pairs.
+    const bool paired = i % 4 == 1;
+    if (paired) {
+      for (int a = 0; a + 1 < n; a += 2) g.add_edge(a, a + 1, 1e7 + pick(0, 3));
+    }
+    const int edges = pick(0, 3 * n);
+    for (int e = 0; e < edges; ++e) {
+      const int a = pick(0, n - 1);
+      const int b = pick(0, 5) == 0 ? a : pick(0, n - 1);
+      const double w = pick(0, 7) == 0 ? 0.0
+                       : integer       ? static_cast<double>(pick(lowest, 3))
+                                       : std::uniform_real_distribution<double>(0.0, 1e6)(rng);
+      g.add_edge(a, b, w);
+      if (pick(0, 3) == 0) g.add_edge(pick(0, 1) == 0 ? a : b, pick(0, 1) == 0 ? a : b, w);
+    }
+    // Few clusters of many nodes each are where a tight cap strands merges.
+    const int k = !paired && pick(0, 1) == 0 ? pick(1, n)
+                                             : std::min(n, pick(2, std::max(2, n / 3)));
+    const std::size_t tight =
+        (static_cast<std::size_t>(n) + static_cast<std::size_t>(k) - 1) / static_cast<std::size_t>(k);
+    std::size_t cap = 0;
+    switch (pick(0, 2)) {
+      case 0: cap = 0; break;
+      case 1: cap = tight; break;
+      default: cap = tight + static_cast<std::size_t>(pick(1, 2)); break;
+    }
+    out.push_back({"random graph " + std::to_string(i) + " n " + std::to_string(n) + " k " +
+                       std::to_string(k) + " cap " + std::to_string(cap),
+                   std::move(g), k, cap});
+  }
+  return out;
+}
+
+/// Runs both clusterings on every problem; returns the number that differ
+/// in blocks, block count, feasibility or cut bits and reports the first
+/// few. `infeasible` receives how many the oracle left short of k.
+std::size_t cluster_mismatches(const std::vector<ClusterProblem>& problems,
+                               std::size_t* infeasible) {
+  std::size_t mismatches = 0;
+  *infeasible = 0;
+  for (const ClusterProblem& p : problems) {
+    const partition::PartitionResult head =
+        partition::agglomerative_cluster(p.graph, p.clusters, p.cap);
+    const partition::PartitionResult ref =
+        reference::agglomerative_cluster(p.graph, p.clusters, p.cap);
+    *infeasible += ref.feasible ? 0 : 1;
+    const bool same = head.block_of == ref.block_of && head.blocks == ref.blocks &&
+                      head.feasible == ref.feasible &&
+                      std::bit_cast<std::uint64_t>(head.cut_weight) ==
+                          std::bit_cast<std::uint64_t>(ref.cut_weight);
+    if (!same && ++mismatches <= 5) {
+      ADD_FAILURE() << p.where << ": cut " << head.cut_weight << " vs oracle "
+                    << ref.cut_weight << ", blocks " << head.blocks << " vs "
+                    << ref.blocks << ", feasible " << head.feasible << " vs "
+                    << ref.feasible;
+    }
+  }
+  return mismatches;
+}
+
+TEST(ReferenceCluster, CampaignSocsMatchOracle) {
+  const std::vector<ClusterProblem> problems = campaign_cluster_problems();
+  std::size_t infeasible = 0;
+  EXPECT_EQ(cluster_mismatches(problems, &infeasible), 0u)
+      << "of " << problems.size() << " problems";
+}
+
+TEST(ReferenceCluster, RandomGraphsMatchOracle) {
+  const std::vector<ClusterProblem> problems = random_cluster_problems(12000);
+  std::size_t infeasible = 0;
+  EXPECT_EQ(cluster_mismatches(problems, &infeasible), 0u)
+      << "of " << problems.size() << " problems";
+  // Coverage floor: the caps must strand some merges short of k.
+  EXPECT_GT(infeasible, problems.size() / 50) << "of " << problems.size();
 }
 
 /// One hand-built routing problem of the random router diff.

@@ -182,6 +182,74 @@ TEST(StoreRecovery, SizeCapEvictsOldestFirst) {
   fs::remove_all(dir);
 }
 
+/// Keys of the records on disk, in store order (0 for a line that does not
+/// verify and parse).
+std::vector<std::uint64_t> store_keys(const ResultCache& cache) {
+  std::vector<std::uint64_t> keys;
+  for (const std::string& line : store_lines(cache)) {
+    std::string payload;
+    JobRecord rec;
+    const bool ok = io::verify_line_checksum(line, &payload) == io::ChecksumStatus::kOk &&
+                    record_from_jsonl(payload, rec);
+    keys.push_back(ok ? rec.key : 0);
+  }
+  return keys;
+}
+
+TEST(StoreRecovery, CappedStoreLoadedThenAppendedKeepsNewestRecords) {
+  // A cap weighs each record by its canonical line (checksummed JSON plus
+  // newline), not by the bytes it had on disk: the store holds records of
+  // different lengths and one v1 line without a checksum. The cap is set
+  // before the load in one pass (the load evicts) and after it in the other
+  // (the first append evicts); both keep the same newest records.
+  const fs::path dir = fresh_dir("vinoc_store_cap_append_test");
+  fs::create_directories(dir);
+  std::string text;
+  for (int i = 0; i < 12; ++i) {
+    const std::string line = record_to_jsonl(fake_record(i * 7));
+    text += (i == 9 ? line : io::add_line_checksum(line)) + '\n';
+  }
+  const std::uint64_t cap =
+      5 * (io::add_line_checksum(record_to_jsonl(fake_record(70))).size() + 1);
+  for (const bool cap_first : {true, false}) {
+    {
+      std::ofstream out(dir / "store.jsonl", std::ios::binary | std::ios::trunc);
+      out << text;
+    }
+    ResultCache cache(dir.string());
+    if (cap_first) cache.set_store_max_bytes(cap);
+    const StoreRecoveryStats stats = cache.load_store();
+    EXPECT_EQ(stats.loaded, 12u);
+    EXPECT_TRUE(stats.rewritten);
+    EXPECT_EQ(stats.evicted, cap_first ? 7u : 0u);
+    if (!cap_first) cache.set_store_max_bytes(cap);
+    for (int i = 12; i < 15; ++i) cache.put_record(fake_record(i * 7));
+    EXPECT_EQ(cache.evicted_records(), 10u) << "cap first: " << cap_first;
+    EXPECT_EQ(store_keys(cache),
+              (std::vector<std::uint64_t>{0x1046, 0x104d, 0x1054, 0x105b, 0x1062}))
+        << "cap first: " << cap_first;
+    EXPECT_LE(fs::file_size(cache.store_path()), cap);
+  }
+
+  // Four records of one length, the second a v1 line: on disk they sum to
+  // less than the cap, their canonical lines to more, so the load evicts.
+  const std::uint64_t line_bytes =
+      io::add_line_checksum(record_to_jsonl(fake_record(10))).size() + 1;
+  {
+    std::ofstream out(dir / "store.jsonl", std::ios::binary | std::ios::trunc);
+    for (int i = 10; i < 14; ++i) {
+      const std::string line = record_to_jsonl(fake_record(i));
+      out << (i == 11 ? line : io::add_line_checksum(line)) << '\n';
+    }
+  }
+  ASSERT_LT(fs::file_size(dir / "store.jsonl"), 4 * line_bytes - 10);
+  ResultCache cache(dir.string());
+  cache.set_store_max_bytes(4 * line_bytes - 10);
+  EXPECT_EQ(cache.load_store().evicted, 1u);
+  EXPECT_EQ(store_keys(cache), (std::vector<std::uint64_t>{0x100b, 0x100c, 0x100d}));
+  fs::remove_all(dir);
+}
+
 TEST(StoreRecovery, EvictionThenTornTailRecoversCleanly) {
   // The crash-after-eviction composition: a size-capped store that has
   // already evicted records loses the tail of its final line (power cut
