@@ -200,8 +200,8 @@ struct CampaignResult {
   [[nodiscard]] int evicted_records() const {
     return static_cast<int>(metrics.value("evicted_records"));
   }
-  /// Failed store appends/rewrites (the store may have degraded to
-  /// memory-only; see ResultCache::store_degraded).
+  /// Failed store appends/rewrites (past a threshold the cache stops
+  /// touching the disk store and runs memory-only).
   [[nodiscard]] int store_write_errors() const {
     return static_cast<int>(metrics.value("store_write_errors"));
   }

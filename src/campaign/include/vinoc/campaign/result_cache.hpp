@@ -105,17 +105,12 @@ class ResultCache {
   [[nodiscard]] std::string store_path() const;  ///< "" when memory-only
   /// Quarantine file for lines rejected by recovery ("" when memory-only).
   [[nodiscard]] std::string quarantine_path() const;
-  [[nodiscard]] std::size_t result_count() const;
-  [[nodiscard]] std::size_t record_count() const;
 
   // Cumulative robustness counters (across every load_store()/put_record on
   // this instance); the engine folds them into the campaign metrics.
   [[nodiscard]] std::uint64_t recovered_records() const;
   [[nodiscard]] std::uint64_t evicted_records() const;
   [[nodiscard]] std::uint64_t store_write_errors() const;
-  /// True once append failures crossed the degradation threshold and the
-  /// cache stopped touching the disk store.
-  [[nodiscard]] bool store_degraded() const;
 
  private:
   std::string record_line(const JobRecord& record) const;

@@ -282,16 +282,6 @@ std::string ResultCache::quarantine_path() const {
   return (std::filesystem::path(dir_) / "store.quarantine.jsonl").string();
 }
 
-std::size_t ResultCache::result_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return results_.size();
-}
-
-std::size_t ResultCache::record_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
 std::uint64_t ResultCache::recovered_records() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return recovered_records_;
@@ -305,11 +295,6 @@ std::uint64_t ResultCache::evicted_records() const {
 std::uint64_t ResultCache::store_write_errors() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return store_write_errors_;
-}
-
-bool ResultCache::store_degraded() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return degraded_;
 }
 
 }  // namespace vinoc::campaign

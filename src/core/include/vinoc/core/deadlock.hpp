@@ -11,8 +11,6 @@
 // design point and the test suite gates on it for every benchmark.
 #pragma once
 
-#include <vector>
-
 #include "vinoc/core/topology.hpp"
 #include "vinoc/graph/digraph.hpp"
 
@@ -25,10 +23,5 @@ namespace vinoc::core {
 
 /// True iff the CDG is acyclic (Dally–Seitz: no routing deadlock possible).
 [[nodiscard]] bool is_deadlock_free(const NocTopology& topo);
-
-/// Link indices involved in dependency cycles (empty iff deadlock-free).
-/// Each inner vector is one strongly connected component with >= 2 links
-/// (or a self-loop), i.e. one independent deadlock scenario.
-[[nodiscard]] std::vector<std::vector<int>> dependency_cycles(const NocTopology& topo);
 
 }  // namespace vinoc::core

@@ -24,14 +24,10 @@ struct VcgScaling {
 [[nodiscard]] VcgScaling vcg_scaling(const soc::SocSpec& spec);
 
 /// Builds VCG(V, E, isl). Node i corresponds to
-/// spec.cores_in_island(isl)[i] and carries the core's name; Edge::user
-/// holds the flow index. `alpha` in [0,1] weighs bandwidth vs. latency.
+/// spec.cores_in_island(isl)[i]; Edge::user holds the flow index.
+/// `alpha` in [0,1] weighs bandwidth vs. latency.
 [[nodiscard]] graph::Digraph build_vcg(const soc::SocSpec& spec,
                                        soc::IslandId island, double alpha,
                                        const VcgScaling& scaling);
-
-/// Convenience overload computing the scaling internally.
-[[nodiscard]] graph::Digraph build_vcg(const soc::SocSpec& spec,
-                                       soc::IslandId island, double alpha);
 
 }  // namespace vinoc::core

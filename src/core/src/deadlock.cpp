@@ -1,19 +1,40 @@
 #include "vinoc/core/deadlock.hpp"
 
 #include <map>
-
-#include "vinoc/graph/algorithms.hpp"
+#include <queue>
+#include <vector>
 
 namespace vinoc::core {
 
+namespace {
+
+/// Kahn's topological sort, keeping only the count of nodes it orders: the
+/// graph is acyclic iff every node gets ordered (a self-loop never does).
+bool is_acyclic(const graph::Digraph& g) {
+  const std::size_t n = g.node_count();
+  std::vector<std::size_t> indeg(n, 0);
+  for (const graph::Edge& e : g.edges()) ++indeg[static_cast<std::size_t>(e.dst)];
+  std::queue<graph::NodeId> q;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indeg[i] == 0) q.push(static_cast<graph::NodeId>(i));
+  }
+  std::size_t ordered = 0;
+  while (!q.empty()) {
+    const graph::NodeId u = q.front();
+    q.pop();
+    ++ordered;
+    for (const graph::EdgeId eid : g.out_edges(u)) {
+      const graph::NodeId v = g.edge(eid).dst;
+      if (--indeg[static_cast<std::size_t>(v)] == 0) q.push(v);
+    }
+  }
+  return ordered == n;
+}
+
+}  // namespace
+
 graph::Digraph build_channel_dependency_graph(const NocTopology& topo) {
   graph::Digraph cdg(topo.links.size());
-  for (std::size_t l = 0; l < topo.links.size(); ++l) {
-    cdg.set_node_name(static_cast<graph::NodeId>(l),
-                      "link" + std::to_string(l) + "_sw" +
-                          std::to_string(topo.links[l].src_switch) + "_sw" +
-                          std::to_string(topo.links[l].dst_switch));
-  }
   std::map<std::pair<int, int>, bool> seen;
   for (std::size_t f = 0; f < topo.routes.size(); ++f) {
     const FlowRoute& r = topo.routes[f];
@@ -28,31 +49,7 @@ graph::Digraph build_channel_dependency_graph(const NocTopology& topo) {
 }
 
 bool is_deadlock_free(const NocTopology& topo) {
-  return graph::topological_order(build_channel_dependency_graph(topo)).has_value();
-}
-
-std::vector<std::vector<int>> dependency_cycles(const NocTopology& topo) {
-  const graph::Digraph cdg = build_channel_dependency_graph(topo);
-  const graph::Components scc = graph::strongly_connected_components(cdg);
-
-  std::vector<std::vector<int>> by_comp(static_cast<std::size_t>(scc.count));
-  for (std::size_t l = 0; l < cdg.node_count(); ++l) {
-    by_comp[static_cast<std::size_t>(scc.comp_of[l])].push_back(static_cast<int>(l));
-  }
-  std::vector<std::vector<int>> cycles;
-  for (auto& comp : by_comp) {
-    if (comp.size() >= 2) {
-      cycles.push_back(std::move(comp));
-      continue;
-    }
-    // Single-node SCC is a cycle only with a self-loop (flow re-using the
-    // same link twice in a row — impossible by construction, but checked).
-    const auto n = static_cast<graph::NodeId>(comp.front());
-    if (cdg.find_edge(n, n) != graph::kInvalidEdge) {
-      cycles.push_back(std::move(comp));
-    }
-  }
-  return cycles;
+  return is_acyclic(build_channel_dependency_graph(topo));
 }
 
 }  // namespace vinoc::core

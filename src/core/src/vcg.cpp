@@ -1,7 +1,9 @@
 #include "vinoc/core/vcg.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace vinoc::core {
 
@@ -27,11 +29,11 @@ graph::Digraph build_vcg(const soc::SocSpec& spec, soc::IslandId island,
   if (scaling.max_bw_bits_per_s <= 0.0 || scaling.min_lat_cycles <= 0.0) {
     throw std::invalid_argument("build_vcg: scaling must be positive");
   }
-  graph::Digraph vcg;
+  const std::vector<soc::CoreId> members = spec.cores_in_island(island);
+  graph::Digraph vcg(members.size());
   std::vector<graph::NodeId> node_of(spec.cores.size(), graph::kInvalidNode);
-  for (const soc::CoreId c : spec.cores_in_island(island)) {
-    node_of[static_cast<std::size_t>(c)] =
-        vcg.add_node(spec.cores[static_cast<std::size_t>(c)].name);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    node_of[static_cast<std::size_t>(members[i])] = static_cast<graph::NodeId>(i);
   }
   for (std::size_t f = 0; f < spec.flows.size(); ++f) {
     const soc::Flow& flow = spec.flows[f];
@@ -43,11 +45,6 @@ graph::Digraph build_vcg(const soc::SocSpec& spec, soc::IslandId island,
     vcg.add_edge(s, d, h, static_cast<std::int64_t>(f));
   }
   return vcg;
-}
-
-graph::Digraph build_vcg(const soc::SocSpec& spec, soc::IslandId island,
-                         double alpha) {
-  return build_vcg(spec, island, alpha, vcg_scaling(spec));
 }
 
 }  // namespace vinoc::core

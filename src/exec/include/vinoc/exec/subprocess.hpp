@@ -30,9 +30,9 @@ namespace vinoc::exec {
 class ChildProcess {
  public:
   /// Forks and execs `argv` (argv[0] = executable path), child stdout ->
-  /// pipe, stderr/stdin inherited. `extra_env` entries ("NAME=value") are
-  /// added to the child's environment. Returns nullptr on fork/exec
-  /// failure.
+  /// pipe, stderr/stdin inherited. The child inherits the environment, with
+  /// `extra_env` entries ("NAME=value") added or replacing an inherited
+  /// NAME. Returns nullptr on fork/exec failure.
   static std::unique_ptr<ChildProcess> spawn(
       const std::vector<std::string>& argv,
       const std::vector<std::string>& extra_env = {});
@@ -54,7 +54,8 @@ class ChildProcess {
   /// True when the child has terminated AND been reaped; exit_code() /
   /// term_signal() are then valid. Non-blocking.
   bool poll_exit();
-  /// Blocks until the child exits (used after a kill).
+  /// Blocks until the child exits and reaps it, retrying on EINTR (the
+  /// destructor reaps a killed child this way).
   void wait_exit();
 
   /// Exit status of a reaped child: exit code for a normal exit, or -1 when

@@ -5,15 +5,45 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdlib>
+#include <string_view>
 
 namespace vinoc::exec {
+
+namespace {
+
+/// "NAME" of a "NAME=value" environment entry.
+std::string_view env_name(std::string_view entry) {
+  return entry.substr(0, entry.find('='));
+}
+
+}  // namespace
 
 std::unique_ptr<ChildProcess> ChildProcess::spawn(
     const std::vector<std::string>& argv,
     const std::vector<std::string>& extra_env) {
   if (argv.empty()) return nullptr;
+  // argv and envp are built here, before fork: between fork and exec the
+  // child may make only async-signal-safe calls, since the parent may be
+  // multi-threaded and another thread may hold the malloc lock.
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
+  cargv.push_back(nullptr);
+  // The parent's environment minus every NAME that extra_env sets, then
+  // extra_env.
+  std::vector<char*> cenv;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const bool replaced =
+        std::any_of(extra_env.begin(), extra_env.end(), [e](const std::string& x) {
+          return env_name(x) == env_name(*e);
+        });
+    if (!replaced) cenv.push_back(*e);
+  }
+  for (const std::string& x : extra_env) cenv.push_back(const_cast<char*>(x.c_str()));
+  cenv.push_back(nullptr);
+
   int fds[2];
   if (::pipe(fds) != 0) return nullptr;
   const pid_t pid = ::fork();
@@ -23,19 +53,11 @@ std::unique_ptr<ChildProcess> ChildProcess::spawn(
     return nullptr;
   }
   if (pid == 0) {
-    // Child: stdout -> pipe write end, then exec. Only async-signal-safe
-    // calls between fork and exec (the parent may be multi-threaded).
+    // Child: stdout -> pipe write end, then exec.
     ::close(fds[0]);
     if (::dup2(fds[1], STDOUT_FILENO) < 0) ::_exit(127);
     ::close(fds[1]);
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
-    for (const std::string& e : extra_env) {
-      ::putenv(const_cast<char*>(e.c_str()));
-    }
-    ::execv(cargv[0], cargv.data());
+    ::execve(cargv[0], cargv.data(), cenv.data());
     ::_exit(127);  // exec failed
   }
   ::close(fds[1]);
@@ -46,9 +68,7 @@ std::unique_ptr<ChildProcess> ChildProcess::spawn(
 ChildProcess::~ChildProcess() {
   if (!reaped_) {
     ::kill(pid_, SIGKILL);
-    int status = 0;
-    ::waitpid(pid_, &status, 0);
-    reaped_ = true;
+    wait_exit();
   }
   if (out_fd_ >= 0) ::close(out_fd_);
 }

@@ -1,23 +1,18 @@
-// Directed, weighted, labelled graph used throughout vinoc.
+// Directed, weighted multigraph: the container behind every VCG
+// (communication graph of one voltage island) and every channel dependency
+// graph vinoc builds.
 //
 // Design notes:
 //  * Nodes and edges are dense integer ids (NodeId / EdgeId); payloads are
 //    stored in parallel vectors, so the structure is cache-friendly and
-//    cheaply copyable (the synthesis loop copies communication graphs a lot).
-//  * Parallel edges are allowed (two cores may have two distinct flows);
-//    callers that need a simple graph can use coalesce().
-//  * There is no node/edge removal: synthesis only ever builds graphs and
-//    filters them into new ones (see induced_subgraph / filter_edges).
+//    cheaply copyable.
+//  * Parallel edges are allowed (two cores may have two distinct flows).
+//  * The node count is fixed at construction and nothing is ever removed:
+//    synthesis only builds graphs and reads them.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace vinoc::graph {
@@ -37,16 +32,11 @@ struct Edge {
   std::int64_t user = -1;
 };
 
-/// Directed multigraph with weighted edges and optional node names.
+/// Directed multigraph with weighted edges.
 class Digraph {
  public:
   Digraph() = default;
-  explicit Digraph(std::size_t node_count) { resize_nodes(node_count); }
-
-  /// Appends `count` unnamed nodes; returns the id of the first new node.
-  NodeId add_nodes(std::size_t count);
-  /// Appends one named node and returns its id.
-  NodeId add_node(std::string name = {});
+  explicit Digraph(std::size_t node_count) : out_adj_(node_count) {}
 
   /// Adds a directed edge; weight may be any finite value (synthesis uses
   /// bandwidth-derived weights, which are >= 0, but the graph does not care).
@@ -55,73 +45,19 @@ class Digraph {
 
   [[nodiscard]] std::size_t node_count() const { return out_adj_.size(); }
   [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
-  [[nodiscard]] bool empty() const { return node_count() == 0; }
 
   [[nodiscard]] const Edge& edge(EdgeId id) const { return edges_.at(static_cast<std::size_t>(id)); }
-  [[nodiscard]] Edge& edge(EdgeId id) { return edges_.at(static_cast<std::size_t>(id)); }
   [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
 
   [[nodiscard]] std::span<const EdgeId> out_edges(NodeId n) const {
     return out_adj_.at(static_cast<std::size_t>(n));
   }
-  [[nodiscard]] std::span<const EdgeId> in_edges(NodeId n) const {
-    return in_adj_.at(static_cast<std::size_t>(n));
-  }
-
-  [[nodiscard]] std::size_t out_degree(NodeId n) const { return out_edges(n).size(); }
-  [[nodiscard]] std::size_t in_degree(NodeId n) const { return in_edges(n).size(); }
-  /// Total degree counting both directions (parallel edges count separately).
-  [[nodiscard]] std::size_t degree(NodeId n) const { return out_degree(n) + in_degree(n); }
-
-  /// First edge src->dst, or kInvalidEdge. O(out_degree(src)).
-  [[nodiscard]] EdgeId find_edge(NodeId src, NodeId dst) const;
-  [[nodiscard]] bool has_edge(NodeId src, NodeId dst) const {
-    return find_edge(src, dst) != kInvalidEdge;
-  }
-
-  void set_node_name(NodeId n, std::string name);
-  [[nodiscard]] const std::string& node_name(NodeId n) const {
-    return names_.at(static_cast<std::size_t>(n));
-  }
-  /// Node id for a name, or kInvalidNode. Names need not be unique; the first
-  /// node with the name wins.
-  [[nodiscard]] NodeId find_node(std::string_view name) const;
-
-  /// Sum of weights of all edges.
-  [[nodiscard]] double total_weight() const;
-
-  /// Sum of weights of edges whose endpoints lie in different blocks of
-  /// `block_of` (size node_count()). This is the directed cut metric used to
-  /// score partitions.
-  [[nodiscard]] double cut_weight(std::span<const int> block_of) const;
-
-  /// New graph with one node per `true` entry of `keep` (size node_count());
-  /// keeps edges with both endpoints kept. `old_to_new`, if non-null, is
-  /// filled with the node mapping (kInvalidNode for dropped nodes).
-  /// (std::vector<bool> rather than a span: the bitset specialization has no
-  /// contiguous bool storage.)
-  [[nodiscard]] Digraph induced_subgraph(const std::vector<bool>& keep,
-                                         std::vector<NodeId>* old_to_new = nullptr) const;
-
-  /// New graph with the same nodes and only edges for which `pred` holds.
-  [[nodiscard]] Digraph filter_edges(const std::function<bool(const Edge&)>& pred) const;
-
-  /// New simple graph where parallel edges src->dst are merged, weights
-  /// summed, `user` of the first edge kept.
-  [[nodiscard]] Digraph coalesce() const;
-
-  /// Undirected coalesced view: for every pair {u,v} with any edge in either
-  /// direction, a single edge min(u,v)->max(u,v) with the summed weight.
-  [[nodiscard]] Digraph undirected_view() const;
 
  private:
-  void resize_nodes(std::size_t count);
   void check_node(NodeId n) const;
 
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_adj_;
-  std::vector<std::vector<EdgeId>> in_adj_;
-  std::vector<std::string> names_;
 };
 
 }  // namespace vinoc::graph

@@ -1,15 +1,9 @@
 #include "vinoc/graph/digraph.hpp"
 
-#include <algorithm>
-#include <map>
+#include <stdexcept>
+#include <string>
 
 namespace vinoc::graph {
-
-void Digraph::resize_nodes(std::size_t count) {
-  out_adj_.resize(count);
-  in_adj_.resize(count);
-  names_.resize(count);
-}
 
 void Digraph::check_node(NodeId n) const {
   if (n < 0 || static_cast<std::size_t>(n) >= node_count()) {
@@ -19,130 +13,13 @@ void Digraph::check_node(NodeId n) const {
   }
 }
 
-NodeId Digraph::add_nodes(std::size_t count) {
-  const auto first = static_cast<NodeId>(node_count());
-  resize_nodes(node_count() + count);
-  return first;
-}
-
-NodeId Digraph::add_node(std::string name) {
-  const NodeId id = add_nodes(1);
-  names_[static_cast<std::size_t>(id)] = std::move(name);
-  return id;
-}
-
 EdgeId Digraph::add_edge(NodeId src, NodeId dst, double weight, std::int64_t user) {
   check_node(src);
   check_node(dst);
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{src, dst, weight, user});
   out_adj_[static_cast<std::size_t>(src)].push_back(id);
-  in_adj_[static_cast<std::size_t>(dst)].push_back(id);
   return id;
-}
-
-EdgeId Digraph::find_edge(NodeId src, NodeId dst) const {
-  check_node(src);
-  check_node(dst);
-  for (const EdgeId e : out_edges(src)) {
-    if (edges_[static_cast<std::size_t>(e)].dst == dst) return e;
-  }
-  return kInvalidEdge;
-}
-
-void Digraph::set_node_name(NodeId n, std::string name) {
-  check_node(n);
-  names_[static_cast<std::size_t>(n)] = std::move(name);
-}
-
-NodeId Digraph::find_node(std::string_view name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return static_cast<NodeId>(i);
-  }
-  return kInvalidNode;
-}
-
-double Digraph::total_weight() const {
-  double sum = 0.0;
-  for (const Edge& e : edges_) sum += e.weight;
-  return sum;
-}
-
-double Digraph::cut_weight(std::span<const int> block_of) const {
-  if (block_of.size() != node_count()) {
-    throw std::invalid_argument("cut_weight: block_of size mismatch");
-  }
-  double cut = 0.0;
-  for (const Edge& e : edges_) {
-    if (block_of[static_cast<std::size_t>(e.src)] !=
-        block_of[static_cast<std::size_t>(e.dst)]) {
-      cut += e.weight;
-    }
-  }
-  return cut;
-}
-
-Digraph Digraph::induced_subgraph(const std::vector<bool>& keep,
-                                  std::vector<NodeId>* old_to_new) const {
-  if (keep.size() != node_count()) {
-    throw std::invalid_argument("induced_subgraph: keep size mismatch");
-  }
-  Digraph sub;
-  std::vector<NodeId> map(node_count(), kInvalidNode);
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    if (keep[i]) {
-      map[i] = sub.add_node(names_[i]);
-    }
-  }
-  for (const Edge& e : edges_) {
-    const NodeId s = map[static_cast<std::size_t>(e.src)];
-    const NodeId d = map[static_cast<std::size_t>(e.dst)];
-    if (s != kInvalidNode && d != kInvalidNode) {
-      sub.add_edge(s, d, e.weight, e.user);
-    }
-  }
-  if (old_to_new != nullptr) *old_to_new = std::move(map);
-  return sub;
-}
-
-Digraph Digraph::filter_edges(const std::function<bool(const Edge&)>& pred) const {
-  Digraph out;
-  out.resize_nodes(node_count());
-  out.names_ = names_;
-  for (const Edge& e : edges_) {
-    if (pred(e)) out.add_edge(e.src, e.dst, e.weight, e.user);
-  }
-  return out;
-}
-
-Digraph Digraph::coalesce() const {
-  Digraph out;
-  out.resize_nodes(node_count());
-  out.names_ = names_;
-  std::map<std::pair<NodeId, NodeId>, std::pair<double, std::int64_t>> merged;
-  for (const Edge& e : edges_) {
-    auto [it, inserted] = merged.try_emplace({e.src, e.dst}, std::pair{e.weight, e.user});
-    if (!inserted) it->second.first += e.weight;
-  }
-  for (const auto& [key, val] : merged) {
-    out.add_edge(key.first, key.second, val.first, val.second);
-  }
-  return out;
-}
-
-Digraph Digraph::undirected_view() const {
-  Digraph out;
-  out.resize_nodes(node_count());
-  out.names_ = names_;
-  std::map<std::pair<NodeId, NodeId>, double> merged;
-  for (const Edge& e : edges_) {
-    const auto key = std::minmax(e.src, e.dst);
-    merged[{key.first, key.second}] += e.weight;
-  }
-  for (const auto& [key, w] : merged) {
-    out.add_edge(key.first, key.second, w);
-  }
-  return out;
 }
 
 }  // namespace vinoc::graph

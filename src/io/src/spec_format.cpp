@@ -29,6 +29,14 @@ const std::map<std::string, soc::CoreKind>& kind_table() {
   return table;
 }
 
+/// The spec-file name of `kind`: the parser's table read backwards.
+const char* kind_name(soc::CoreKind kind) {
+  for (const auto& [name, k] : kind_table()) {
+    if (k == kind) return name.c_str();
+  }
+  return "other";
+}
+
 bool parse_double(const std::string& tok, double& out) {
   try {
     std::size_t pos = 0;
@@ -236,7 +244,7 @@ std::string write_soc_spec(const soc::SocSpec& spec) {
   }
   os << '\n';
   for (const soc::CoreSpec& c : spec.cores) {
-    os << "core " << c.name << ' ' << soc::to_string(c.kind) << ' '
+    os << "core " << c.name << ' ' << kind_name(c.kind) << ' '
        << spec.islands[static_cast<std::size_t>(c.island)].name << ' '
        << c.width_mm << ' ' << c.height_mm << ' ' << c.dynamic_power_w * 1e3
        << ' ' << c.leakage_power_w * 1e3 << ' ' << c.clock_hz / 1e6 << '\n';

@@ -98,8 +98,6 @@ class Registry {
   /// ShardedRegistry::merged() applies this before returning.
   void sort_by_name();
 
-  void clear();
-
  private:
   std::vector<Entry> entries_;
   std::unordered_map<std::string, std::size_t> index_;
@@ -125,8 +123,6 @@ class ShardedRegistry {
   /// ops are commutative and associative over int64, the result is
   /// identical for any shard count and discovery order.
   [[nodiscard]] Registry merged() const;
-
-  void clear();
 
  private:
   mutable std::mutex mu_;

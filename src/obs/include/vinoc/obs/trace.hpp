@@ -8,8 +8,7 @@
 //    pipeline; they write to per-thread sinks owned by this module.
 //  * Near-zero cost when off. OBS_SPAN compiles to one relaxed atomic load
 //    and a branch when tracing is runtime-disabled (measured on
-//    bench_eval_hotpath; the obs_span_overhead metric tracks it), and to
-//    NOTHING when the TU is built with -DVINOC_OBS_NO_TRACE.
+//    bench_eval_hotpath; the obs_span_overhead metric tracks it).
 //  * Lock-free on the hot path is not required — spans are recorded at
 //    candidate/phase granularity (>= tens of microseconds each), so a
 //    per-thread sink guarded by an uncontended mutex (only the exporter
@@ -112,16 +111,9 @@ class Span {
 
 }  // namespace vinoc::obs
 
-// OBS_SPAN("route_flows"): trace the enclosing scope. Compiled out entirely
-// with -DVINOC_OBS_NO_TRACE; otherwise a relaxed load + branch when tracing
-// is disabled at runtime.
-#ifdef VINOC_OBS_NO_TRACE
-#define OBS_SPAN(name) \
-  do {                 \
-  } while (false)
-#else
+// OBS_SPAN("route_flows"): trace the enclosing scope; a relaxed load +
+// branch when tracing is disabled at runtime.
 #define OBS_SPAN_CONCAT2(a, b) a##b
 #define OBS_SPAN_CONCAT(a, b) OBS_SPAN_CONCAT2(a, b)
 #define OBS_SPAN(name) \
   const ::vinoc::obs::Span OBS_SPAN_CONCAT(obs_span_, __LINE__) { name }
-#endif

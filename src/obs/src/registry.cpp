@@ -110,15 +110,6 @@ void Registry::sort_by_name() {
   std::sort(histogram_names_.begin(), histogram_names_.end());
 }
 
-void Registry::clear() {
-  entries_.clear();
-  index_.clear();
-  gauge_names_.clear();
-  gauges_.clear();
-  histogram_names_.clear();
-  histograms_.clear();
-}
-
 Registry& ShardedRegistry::local() {
   const std::thread::id id = std::this_thread::get_id();
   const std::lock_guard<std::mutex> lock(mu_);
@@ -138,11 +129,6 @@ Registry ShardedRegistry::merged() const {
   }
   out.sort_by_name();
   return out;
-}
-
-void ShardedRegistry::clear() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  shards_.clear();
 }
 
 }  // namespace vinoc::obs

@@ -12,7 +12,9 @@
 //    of cores into voltage islands (Section 5).
 //
 // All routines operate on the undirected coalesced view of the input graph
-// and are deterministic for a fixed seed.
+// (the pairs of the oracle's reference::undirected_view() in
+// tests/reference/partition.hpp, built by kway.cpp's own coalesce()) and
+// are deterministic for a fixed seed.
 //
 // kway_mincut() is pinned bit for bit to the seed's partitioner, vendored
 // as vinoc::reference::kway_mincut in tests/reference/: for every input it

@@ -43,7 +43,8 @@ struct Pair {
 };
 
 /// Coalesces `g` into its undirected pairs in (lo, hi) order. These are the
-/// pairs, the order and the double sums of Digraph::undirected_view() (a
+/// pairs, the order and the double sums of the oracle's
+/// reference::undirected_view() in tests/reference/partition.hpp (a
 /// std::map keyed by (min, max) whose value starts at 0.0 and adds the
 /// pair's edges in edge order) minus its self loops, which no cut, gain or
 /// merge ever counts.
@@ -87,7 +88,8 @@ Adjacency adjacency(std::size_t n, const std::vector<Pair>& pairs) {
 }
 
 /// Undirected cut of `block_of`: the pairs' weights summed in (lo, hi)
-/// order, as Digraph::undirected_view().cut_weight() adds them.
+/// order, as the oracle's reference::cut_weight() adds them over
+/// reference::undirected_view().
 double cut_weight(const std::vector<Pair>& pairs, const std::vector<int>& block_of) {
   double cut = 0.0;
   for (const Pair& p : pairs) {

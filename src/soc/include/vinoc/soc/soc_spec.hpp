@@ -33,8 +33,6 @@ enum class CoreKind {
   kOther,
 };
 
-[[nodiscard]] const char* to_string(CoreKind kind);
-
 using CoreId = std::int32_t;
 using IslandId = std::int32_t;
 

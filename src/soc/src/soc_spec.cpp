@@ -5,27 +5,6 @@
 
 namespace vinoc::soc {
 
-const char* to_string(CoreKind kind) {
-  switch (kind) {
-    case CoreKind::kCpu: return "cpu";
-    case CoreKind::kDsp: return "dsp";
-    case CoreKind::kGpu: return "gpu";
-    case CoreKind::kCache: return "cache";
-    case CoreKind::kMemory: return "memory";
-    case CoreKind::kMemController: return "mem_ctrl";
-    case CoreKind::kDma: return "dma";
-    case CoreKind::kVideo: return "video";
-    case CoreKind::kImaging: return "imaging";
-    case CoreKind::kDisplay: return "display";
-    case CoreKind::kAudio: return "audio";
-    case CoreKind::kModem: return "modem";
-    case CoreKind::kCrypto: return "crypto";
-    case CoreKind::kPeripheral: return "peripheral";
-    case CoreKind::kOther: return "other";
-  }
-  return "other";
-}
-
 std::vector<CoreId> SocSpec::cores_in_island(IslandId island) const {
   std::vector<CoreId> out;
   for (std::size_t i = 0; i < cores.size(); ++i) {
@@ -35,8 +14,7 @@ std::vector<CoreId> SocSpec::cores_in_island(IslandId island) const {
 }
 
 graph::Digraph SocSpec::core_graph() const {
-  graph::Digraph g;
-  for (const CoreSpec& c : cores) g.add_node(c.name);
+  graph::Digraph g(cores.size());
   for (std::size_t f = 0; f < flows.size(); ++f) {
     g.add_edge(flows[f].src, flows[f].dst, flows[f].bandwidth_bits_per_s,
                static_cast<std::int64_t>(f));

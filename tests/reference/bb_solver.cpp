@@ -1,10 +1,10 @@
-#include "vinoc/ilp/bb_solver.hpp"
+#include "bb_solver.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
-namespace vinoc::ilp {
+namespace vinoc::reference::ilp {
 
 namespace {
 constexpr double kTol = 1e-9;
@@ -214,4 +214,4 @@ SolveResult solve(const Model& model, const SolveOptions& options) {
   return result;
 }
 
-}  // namespace vinoc::ilp
+}  // namespace vinoc::reference::ilp

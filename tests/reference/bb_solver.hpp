@@ -1,11 +1,7 @@
-// Exact 0/1 integer linear program solver (branch and bound).
-//
-// The DAC'09 flow is a heuristic, but the reproduction uses exact
-// optimization in two places:
-//   * tests prove the FM partitioner's cut is optimal (or within a stated
-//     bound) on small VI communication graphs by solving the min-cut ILP;
-//   * tests cross-check the router's link-opening decisions against the
-//     optimal link subset on toy topologies.
+// Exact 0/1 integer linear program solver (branch and bound), the engine
+// behind the exact-bisection oracle (bisection.hpp): tests prove the
+// partitioner's cut is optimal, or within a stated bound, on small graphs by
+// solving the min-cut ILP.
 //
 // Scope: binary variables only, linear objective and constraints. Bounding is
 // LP-free (sum of beneficial free coefficients), plus per-constraint interval
@@ -20,7 +16,7 @@
 #include <string>
 #include <vector>
 
-namespace vinoc::ilp {
+namespace vinoc::reference::ilp {
 
 enum class Sense { kLessEqual, kGreaterEqual, kEqual };
 
@@ -81,4 +77,4 @@ struct SolveOptions {
 /// Depth-first branch and bound with best-coefficient variable ordering.
 SolveResult solve(const Model& model, const SolveOptions& options = {});
 
-}  // namespace vinoc::ilp
+}  // namespace vinoc::reference::ilp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <random>
 #include <stdexcept>
@@ -266,6 +267,33 @@ void pairwise_refine(const Digraph& undirected, int blocks, std::size_t cap,
 
 }  // namespace
 
+Digraph undirected_view(const Digraph& g) {
+  Digraph out(g.node_count());
+  std::map<std::pair<NodeId, NodeId>, double> merged;
+  for (const graph::Edge& e : g.edges()) {
+    const auto key = std::minmax(e.src, e.dst);
+    merged[{key.first, key.second}] += e.weight;
+  }
+  for (const auto& [key, w] : merged) {
+    out.add_edge(key.first, key.second, w);
+  }
+  return out;
+}
+
+double cut_weight(const Digraph& g, std::span<const int> block_of) {
+  if (block_of.size() != g.node_count()) {
+    throw std::invalid_argument("cut_weight: block_of size mismatch");
+  }
+  double cut = 0.0;
+  for (const graph::Edge& e : g.edges()) {
+    if (block_of[static_cast<std::size_t>(e.src)] !=
+        block_of[static_cast<std::size_t>(e.dst)]) {
+      cut += e.weight;
+    }
+  }
+  return cut;
+}
+
 partition::PartitionResult kway_mincut(const Digraph& g,
                                        const partition::KwayOptions& options) {
   if (options.blocks < 1) throw std::invalid_argument("kway_mincut: blocks < 1");
@@ -283,7 +311,7 @@ partition::PartitionResult kway_mincut(const Digraph& g,
     return result;
   }
 
-  const Digraph undirected = g.undirected_view();
+  const Digraph undirected = undirected_view(g);
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), 0);
   std::mt19937 rng(options.seed);
@@ -295,7 +323,7 @@ partition::PartitionResult kway_mincut(const Digraph& g,
                     result.block_of);
   }
 
-  result.cut_weight = undirected.cut_weight(result.block_of);
+  result.cut_weight = cut_weight(undirected, result.block_of);
   result.feasible = true;
   if (options.max_block_size > 0) {
     std::vector<std::size_t> sizes(static_cast<std::size_t>(options.blocks), 0);
@@ -326,7 +354,7 @@ partition::PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
     throw std::invalid_argument("agglomerative_cluster: size cap cannot fit");
   }
 
-  const Digraph u = g.undirected_view();
+  const Digraph u = undirected_view(g);
   // cluster id per node; clusters are merged by relabelling (n is small --
   // tens of cores -- so the quadratic approach is fine and simple).
   std::vector<int> cl(n);
@@ -392,7 +420,7 @@ partition::PartitionResult agglomerative_cluster(const Digraph& g, int clusters,
   }
   result.blocks = next;
   if (alive == clusters) result.feasible = true;
-  result.cut_weight = u.cut_weight(result.block_of);
+  result.cut_weight = cut_weight(u, result.block_of);
   return result;
 }
 

@@ -12,10 +12,23 @@
 // vinoc::partition::kway_mincut, which must reproduce it bit for bit.
 #pragma once
 
+#include <span>
+
 #include "vinoc/graph/digraph.hpp"
 #include "vinoc/partition/kway.hpp"
 
 namespace vinoc::reference {
+
+/// Undirected coalesced view: for every pair {u,v} with any edge in either
+/// direction, a single edge min(u,v)->max(u,v) with the summed weight. The
+/// engine's partitioner keeps its own coalescing, which must match this
+/// one's pairs, order and sums.
+graph::Digraph undirected_view(const graph::Digraph& g);
+
+/// Sum of weights of edges whose endpoints lie in different blocks of
+/// `block_of` (size node_count()). On undirected_view(g) this is the cut
+/// metric partitions are scored by.
+double cut_weight(const graph::Digraph& g, std::span<const int> block_of);
 
 /// Balanced k-way min-cut. Throws std::invalid_argument on blocks < 1 or an
 /// impossible cap (blocks * max_block_size < node_count).

@@ -1,8 +1,13 @@
 // Tests for the vinoc::exec worker pool and its deterministic fan-out
 // primitives (index-ordered reduction, exception determinism, nesting).
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -12,6 +17,7 @@
 #include "vinoc/exec/cancel.hpp"
 #include "vinoc/exec/ordered_drain.hpp"
 #include "vinoc/exec/parallel_for.hpp"
+#include "vinoc/exec/subprocess.hpp"
 #include "vinoc/exec/thread_pool.hpp"
 
 namespace vinoc::exec {
@@ -371,6 +377,54 @@ TEST(Exec, CancelTokenFlagDeadlineAndParentChain) {
   CancelToken open;
   open.set_timeout(3600.0);
   EXPECT_FALSE(open.cancelled());
+}
+
+/// Everything `child` writes to stdout, until EOF.
+std::vector<std::string> read_to_eof(ChildProcess& child) {
+  std::vector<std::string> lines;
+  while (child.read_available(lines)) {
+    pollfd pfd{child.stdout_fd(), POLLIN, 0};
+    ::poll(&pfd, 1, 1000);
+  }
+  return lines;
+}
+
+TEST(ChildProcess, ExtraEnvReplacesInheritedVariable) {
+  ASSERT_EQ(::setenv("VINOC_TEST_X", "parent", 1), 0);
+  ASSERT_EQ(::setenv("VINOC_TEST_Y", "kept", 1), 0);
+  const auto run = [](const std::vector<std::string>& argv) {
+    auto child = ChildProcess::spawn(argv, {"VINOC_TEST_X=override"});
+    if (child == nullptr) return std::vector<std::string>{"spawn failed"};
+    std::vector<std::string> out = read_to_eof(*child);
+    child->wait_exit();
+    if (child->exit_code() != 0) out.push_back("exit code != 0");
+    return out;
+  };
+  const std::vector<std::string> printed = run(
+      {"/bin/sh", "-c", "printf '%s,%s' \"$VINOC_TEST_X\" \"$VINOC_TEST_Y\""});
+  // The raw environment: the override must replace the inherited entry,
+  // not sit beside it.
+  std::vector<std::string> env;
+  for (const std::string& line : run({"/usr/bin/env"})) {
+    if (line.rfind("VINOC_TEST_", 0) == 0) env.push_back(line);
+  }
+  ::unsetenv("VINOC_TEST_X");
+  ::unsetenv("VINOC_TEST_Y");
+  EXPECT_EQ(printed, std::vector<std::string>{"override,kept"});
+  std::sort(env.begin(), env.end());
+  EXPECT_EQ(env, (std::vector<std::string>{"VINOC_TEST_X=override",
+                                           "VINOC_TEST_Y=kept"}));
+}
+
+TEST(ChildProcess, DestructorReapsTheChild) {
+  auto child = ChildProcess::spawn({"/bin/sh", "-c", "sleep 30"});
+  ASSERT_NE(child, nullptr);
+  const int pid = child->pid();
+  child.reset();  // SIGKILL, then reap
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(pid, &status, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
 }
 
 }  // namespace

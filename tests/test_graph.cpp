@@ -1,87 +1,35 @@
-// Unit tests for the graph substrate.
+// Unit tests for the graph container.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <random>
+#include <stdexcept>
 
-#include "vinoc/graph/algorithms.hpp"
 #include "vinoc/graph/digraph.hpp"
 
 namespace vinoc::graph {
 namespace {
 
-Digraph make_diamond() {
-  // 0 -> 1 -> 3, 0 -> 2 -> 3 with asymmetric weights.
-  Digraph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 2, 5.0);
-  g.add_edge(2, 3, 5.0);
-  return g;
-}
-
 TEST(Digraph, AddNodesAndEdges) {
-  Digraph g;
-  const NodeId a = g.add_node("a");
-  const NodeId b = g.add_node("b");
+  Digraph g(2);
   EXPECT_EQ(g.node_count(), 2u);
-  const EdgeId e = g.add_edge(a, b, 2.5, 7);
+  const EdgeId e = g.add_edge(0, 1, 2.5, 7);
   EXPECT_EQ(g.edge_count(), 1u);
-  EXPECT_EQ(g.edge(e).src, a);
-  EXPECT_EQ(g.edge(e).dst, b);
+  EXPECT_EQ(g.edge(e).src, 0);
+  EXPECT_EQ(g.edge(e).dst, 1);
   EXPECT_DOUBLE_EQ(g.edge(e).weight, 2.5);
   EXPECT_EQ(g.edge(e).user, 7);
 }
 
-TEST(Digraph, DegreesCountDirections) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(2, 0);
-  EXPECT_EQ(g.out_degree(0), 2u);
-  EXPECT_EQ(g.in_degree(0), 1u);
-  EXPECT_EQ(g.degree(0), 3u);
-}
-
-TEST(Digraph, FindEdgeAndHasEdge) {
-  Digraph g(3);
-  g.add_edge(0, 1, 1.0);
-  EXPECT_NE(g.find_edge(0, 1), kInvalidEdge);
-  EXPECT_EQ(g.find_edge(1, 0), kInvalidEdge);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_FALSE(g.has_edge(2, 1));
-}
-
-TEST(Digraph, ParallelEdgesAllowedAndCoalesced) {
+TEST(Digraph, ParallelEdgesAndSelfLoopsKept) {
   Digraph g(2);
   g.add_edge(0, 1, 1.0);
   g.add_edge(0, 1, 2.0);
-  EXPECT_EQ(g.edge_count(), 2u);
-  const Digraph c = g.coalesce();
-  EXPECT_EQ(c.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(c.edges()[0].weight, 3.0);
-}
-
-TEST(Digraph, UndirectedViewMergesBothDirections) {
-  Digraph g(2);
-  g.add_edge(0, 1, 1.5);
-  g.add_edge(1, 0, 2.5);
-  const Digraph u = g.undirected_view();
-  EXPECT_EQ(u.edge_count(), 1u);
-  EXPECT_DOUBLE_EQ(u.edges()[0].weight, 4.0);
-  EXPECT_LE(u.edges()[0].src, u.edges()[0].dst);
-}
-
-TEST(Digraph, NodeNamesRoundTrip) {
-  Digraph g;
-  g.add_node("cpu");
-  g.add_node("mem");
-  EXPECT_EQ(g.find_node("mem"), 1);
-  EXPECT_EQ(g.find_node("nope"), kInvalidNode);
-  g.set_node_name(0, "cpu0");
-  EXPECT_EQ(g.node_name(0), "cpu0");
+  g.add_edge(1, 1, 3.0);
+  EXPECT_EQ(g.edge_count(), 3u);
+  ASSERT_EQ(g.out_edges(0).size(), 2u);
+  EXPECT_EQ(g.out_edges(0)[0], 0);
+  EXPECT_EQ(g.out_edges(0)[1], 1);
+  ASSERT_EQ(g.out_edges(1).size(), 1u);
+  EXPECT_EQ(g.edges()[2].dst, 1);
 }
 
 TEST(Digraph, OutOfRangeThrows) {
@@ -89,250 +37,8 @@ TEST(Digraph, OutOfRangeThrows) {
   EXPECT_THROW(g.add_edge(0, 5), std::out_of_range);
   EXPECT_THROW(g.add_edge(-1, 0), std::out_of_range);
   EXPECT_THROW((void)g.out_edges(7), std::out_of_range);
+  EXPECT_THROW((void)g.edge(0), std::out_of_range);
 }
-
-TEST(Digraph, TotalAndCutWeight) {
-  const Digraph g = make_diamond();
-  EXPECT_DOUBLE_EQ(g.total_weight(), 12.0);
-  const std::vector<int> blocks = {0, 0, 1, 1};
-  // Cut edges: 0->2 (5) and 1->3 (1).
-  EXPECT_DOUBLE_EQ(g.cut_weight(blocks), 6.0);
-}
-
-TEST(Digraph, CutWeightSizeMismatchThrows) {
-  const Digraph g = make_diamond();
-  const std::vector<int> bad = {0, 1};
-  EXPECT_THROW((void)g.cut_weight(bad), std::invalid_argument);
-}
-
-TEST(Digraph, InducedSubgraph) {
-  const Digraph g = make_diamond();
-  const std::vector<bool> keep = {true, true, false, true};
-  std::vector<NodeId> map;
-  const Digraph sub = g.induced_subgraph(keep, &map);
-  EXPECT_EQ(sub.node_count(), 3u);
-  EXPECT_EQ(sub.edge_count(), 2u);  // 0->1 and 1->3 survive
-  EXPECT_EQ(map[2], kInvalidNode);
-  EXPECT_EQ(map[3], 2);
-}
-
-TEST(Digraph, FilterEdges) {
-  const Digraph g = make_diamond();
-  const Digraph heavy = g.filter_edges([](const Edge& e) { return e.weight > 2.0; });
-  EXPECT_EQ(heavy.node_count(), 4u);
-  EXPECT_EQ(heavy.edge_count(), 2u);
-}
-
-TEST(Dijkstra, PicksCheapestPath) {
-  const Digraph g = make_diamond();
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(sp.dist[3], 2.0);  // via node 1
-  const auto nodes = sp.path_nodes(g, 3);
-  const std::vector<NodeId> expected = {0, 1, 3};
-  EXPECT_EQ(nodes, expected);
-}
-
-TEST(Dijkstra, PathEdgesEmptyAtSourceAndUnreachable) {
-  Digraph g(3);
-  g.add_edge(0, 1, 1.0);
-  const ShortestPaths sp = dijkstra(g, 0);
-  EXPECT_TRUE(sp.path_edges(g, 0).empty());
-  EXPECT_FALSE(sp.reached(2));
-  EXPECT_TRUE(sp.path_edges(g, 2).empty());
-  const auto at_source = sp.path_nodes(g, 0);
-  const std::vector<NodeId> just_source = {0};
-  EXPECT_EQ(at_source, just_source);
-}
-
-TEST(Dijkstra, CostOverrideCanForbidEdges) {
-  const Digraph g = make_diamond();
-  // Forbid 0->1, forcing the expensive route.
-  const ShortestPaths sp = dijkstra(g, 0, [](const Edge& e) {
-    return (e.src == 0 && e.dst == 1) ? -1.0 : e.weight;
-  });
-  EXPECT_DOUBLE_EQ(sp.dist[3], 10.0);
-}
-
-TEST(Dijkstra, NodeFilterRestrictsRelaxation) {
-  const Digraph g = make_diamond();
-  const ShortestPaths sp =
-      dijkstra(g, 0, {}, [](NodeId n) { return n != 1; });
-  EXPECT_DOUBLE_EQ(sp.dist[3], 10.0);
-  EXPECT_FALSE(sp.reached(1));
-}
-
-TEST(Dijkstra, NegativeWeightWithoutOverrideThrows) {
-  Digraph g(2);
-  g.add_edge(0, 1, -1.0);
-  EXPECT_THROW((void)dijkstra(g, 0), std::invalid_argument);
-}
-
-TEST(Bfs, VisitsInBreadthOrder) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 4);
-  const auto order = bfs_order(g, 0);
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order[0], 0);
-  // 1 and 2 before 3 and 4.
-  EXPECT_LT(std::find(order.begin(), order.end(), 1) - order.begin(), 3);
-  EXPECT_LT(std::find(order.begin(), order.end(), 2) - order.begin(), 3);
-}
-
-TEST(Components, WeaklyConnected) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(2, 1);  // direction should not matter
-  g.add_edge(3, 4);
-  const Components c = weakly_connected_components(g);
-  EXPECT_EQ(c.count, 2);
-  EXPECT_EQ(c.comp_of[0], c.comp_of[2]);
-  EXPECT_NE(c.comp_of[0], c.comp_of[3]);
-  EXPECT_FALSE(is_weakly_connected(g));
-}
-
-TEST(Components, StronglyConnectedTarjan) {
-  Digraph g(6);
-  // SCC {0,1,2}, SCC {3,4}, SCC {5}.
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(4, 3);
-  g.add_edge(4, 5);
-  const Components c = strongly_connected_components(g);
-  EXPECT_EQ(c.count, 3);
-  EXPECT_EQ(c.comp_of[0], c.comp_of[1]);
-  EXPECT_EQ(c.comp_of[0], c.comp_of[2]);
-  EXPECT_EQ(c.comp_of[3], c.comp_of[4]);
-  EXPECT_NE(c.comp_of[0], c.comp_of[3]);
-  EXPECT_NE(c.comp_of[3], c.comp_of[5]);
-}
-
-TEST(Topological, OrderOnDagAndCycleDetection) {
-  Digraph dag(4);
-  dag.add_edge(0, 1);
-  dag.add_edge(1, 2);
-  dag.add_edge(0, 3);
-  const auto order = topological_order(dag);
-  ASSERT_TRUE(order.has_value());
-  std::vector<std::size_t> pos(4);
-  for (std::size_t i = 0; i < order->size(); ++i) {
-    pos[static_cast<std::size_t>((*order)[i])] = i;
-  }
-  EXPECT_LT(pos[0], pos[1]);
-  EXPECT_LT(pos[1], pos[2]);
-
-  Digraph cyc(2);
-  cyc.add_edge(0, 1);
-  cyc.add_edge(1, 0);
-  EXPECT_FALSE(topological_order(cyc).has_value());
-}
-
-TEST(StoerWagner, FindsObviousMinCut) {
-  // Two triangles joined by one light edge.
-  Digraph g(6);
-  for (const auto& [a, b] : {std::pair{0, 1}, {1, 2}, {2, 0}}) g.add_edge(a, b, 10.0);
-  for (const auto& [a, b] : {std::pair{3, 4}, {4, 5}, {5, 3}}) g.add_edge(a, b, 10.0);
-  g.add_edge(2, 3, 1.0);
-  const GlobalMinCut cut = stoer_wagner_min_cut(g);
-  EXPECT_DOUBLE_EQ(cut.weight, 1.0);
-  // The side must separate the triangles.
-  EXPECT_EQ(cut.side[0], cut.side[1]);
-  EXPECT_EQ(cut.side[1], cut.side[2]);
-  EXPECT_EQ(cut.side[3], cut.side[4]);
-  EXPECT_NE(cut.side[0], cut.side[3]);
-}
-
-TEST(StoerWagner, RejectsBadInputs) {
-  Digraph tiny(1);
-  EXPECT_THROW((void)stoer_wagner_min_cut(tiny), std::invalid_argument);
-  Digraph neg(2);
-  neg.add_edge(0, 1, -2.0);
-  EXPECT_THROW((void)stoer_wagner_min_cut(neg), std::invalid_argument);
-}
-
-TEST(UnionFind, MergesAndCounts) {
-  UnionFind uf(5);
-  EXPECT_EQ(uf.set_count(), 5u);
-  EXPECT_TRUE(uf.unite(0, 1));
-  EXPECT_FALSE(uf.unite(1, 0));
-  EXPECT_TRUE(uf.unite(2, 3));
-  EXPECT_TRUE(uf.unite(0, 3));
-  EXPECT_EQ(uf.set_count(), 2u);
-  EXPECT_EQ(uf.find(1), uf.find(2));
-  EXPECT_NE(uf.find(0), uf.find(4));
-}
-
-// Property: on random graphs, Dijkstra distances satisfy the triangle
-// inequality over every edge (the relaxation fixed point).
-class DijkstraPropertyTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(DijkstraPropertyTest, RelaxationFixedPoint) {
-  std::mt19937 rng(GetParam());
-  std::uniform_real_distribution<double> wdist(0.1, 10.0);
-  Digraph g(20);
-  std::uniform_int_distribution<int> ndist(0, 19);
-  for (int e = 0; e < 60; ++e) {
-    const int a = ndist(rng);
-    int b = ndist(rng);
-    if (a == b) b = (b + 1) % 20;
-    g.add_edge(a, b, wdist(rng));
-  }
-  const ShortestPaths sp = dijkstra(g, 0);
-  for (const Edge& e : g.edges()) {
-    if (!sp.reached(e.src)) continue;
-    EXPECT_LE(sp.dist[static_cast<std::size_t>(e.dst)],
-              sp.dist[static_cast<std::size_t>(e.src)] + e.weight + 1e-9);
-  }
-  // Path reconstruction must reproduce the distance.
-  for (NodeId n = 0; n < 20; ++n) {
-    if (!sp.reached(n) || n == 0) continue;
-    double sum = 0.0;
-    for (const EdgeId eid : sp.path_edges(g, n)) sum += g.edge(eid).weight;
-    EXPECT_NEAR(sum, sp.dist[static_cast<std::size_t>(n)], 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraPropertyTest,
-                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
-
-// Property: Stoer-Wagner's cut weight matches the cut implied by its side
-// assignment, and no single-node cut is lighter.
-class MinCutPropertyTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(MinCutPropertyTest, CutMatchesSideAndBeatsSingletons) {
-  std::mt19937 rng(GetParam());
-  std::uniform_real_distribution<double> wdist(0.5, 4.0);
-  const std::size_t n = 10;
-  Digraph g(n);
-  std::uniform_int_distribution<int> ndist(0, static_cast<int>(n) - 1);
-  for (int e = 0; e < 25; ++e) {
-    const int a = ndist(rng);
-    int b = ndist(rng);
-    if (a == b) b = (b + 1) % static_cast<int>(n);
-    g.add_edge(a, b, wdist(rng));
-  }
-  // Make it connected: a cheap ring.
-  for (std::size_t i = 0; i < n; ++i) {
-    g.add_edge(static_cast<NodeId>(i), static_cast<NodeId>((i + 1) % n), 0.6);
-  }
-  const GlobalMinCut cut = stoer_wagner_min_cut(g);
-  std::vector<int> blocks(n);
-  for (std::size_t i = 0; i < n; ++i) blocks[i] = cut.side[i] ? 1 : 0;
-  EXPECT_NEAR(g.undirected_view().cut_weight(blocks), cut.weight, 1e-9);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<int> single(n, 0);
-    single[i] = 1;
-    EXPECT_GE(g.undirected_view().cut_weight(single), cut.weight - 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MinCutPropertyTest,
-                         ::testing::Values(11u, 12u, 13u, 14u, 15u, 16u));
 
 }  // namespace
 }  // namespace vinoc::graph

@@ -1,12 +1,13 @@
-// Unit tests for the 0/1 branch-and-bound ILP solver.
+// Unit tests for the exact-bisection oracle in tests/reference/: the 0/1
+// branch-and-bound ILP solver and the min-cut bisection model on top of it.
 #include <gtest/gtest.h>
 
 #include <random>
 
-#include "vinoc/ilp/bb_solver.hpp"
-#include "vinoc/ilp/mincut_model.hpp"
+#include "reference/bb_solver.hpp"
+#include "reference/bisection.hpp"
 
-namespace vinoc::ilp {
+namespace vinoc::reference::ilp {
 namespace {
 
 TEST(BbSolver, UnconstrainedMinimizationTakesNegativeCosts) {
@@ -180,33 +181,5 @@ TEST(OptimalBisection, BalanceBoundsRespected) {
   EXPECT_DOUBLE_EQ(r.cut_weight, 2.0);  // two leaves separated from centre
 }
 
-TEST(OptimalLinkChoice, PrefersSharedRelayWhenCheaper) {
-  // Flows 0->2 and 1->2; direct links cost 10 each, relay (node 3) links
-  // cost 2 each. Sharing the relay->2 link costs 2+2+2 = 6 < 20.
-  LinkChoiceProblem prob;
-  prob.node_count = 4;
-  prob.links = {{0, 2, 10.0}, {1, 2, 10.0}, {0, 3, 2.0}, {1, 3, 2.0}, {3, 2, 2.0}};
-  prob.flows = {{0, 2}, {1, 2}};
-  prob.relays = {3};
-  const LinkChoiceResult r = optimal_link_choice(prob);
-  ASSERT_TRUE(r.feasible);
-  EXPECT_TRUE(r.proven_optimal);
-  EXPECT_DOUBLE_EQ(r.total_cost, 6.0);
-  EXPECT_FALSE(r.opened[0]);
-  EXPECT_FALSE(r.opened[1]);
-  EXPECT_TRUE(r.opened[2]);
-  EXPECT_TRUE(r.opened[3]);
-  EXPECT_TRUE(r.opened[4]);
-}
-
-TEST(OptimalLinkChoice, InfeasibleWhenNoRouteExists) {
-  LinkChoiceProblem prob;
-  prob.node_count = 3;
-  prob.links = {{0, 1, 1.0}};
-  prob.flows = {{0, 2}};
-  const LinkChoiceResult r = optimal_link_choice(prob);
-  EXPECT_FALSE(r.feasible);
-}
-
 }  // namespace
-}  // namespace vinoc::ilp
+}  // namespace vinoc::reference::ilp

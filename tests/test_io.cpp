@@ -68,6 +68,20 @@ TEST(SpecFormat, RoundTripsThroughWriter) {
   }
 }
 
+TEST(SpecFormat, EveryCoreKindRoundTripsThroughWriter) {
+  ParseResult first = parse_soc_spec_string(kGoodSpec);
+  ASSERT_TRUE(first.ok);
+  for (int k = 0; k <= static_cast<int>(soc::CoreKind::kOther); ++k) {
+    const auto kind = static_cast<soc::CoreKind>(k);
+    first.spec.cores[0].kind = kind;
+    const ParseResult second = parse_soc_spec_string(write_soc_spec(first.spec));
+    ASSERT_TRUE(second.ok) << k;
+    EXPECT_EQ(second.spec.cores[0].kind, kind) << k;
+  }
+  first.spec.cores[0].kind = soc::CoreKind::kMemController;
+  EXPECT_NE(write_soc_spec(first.spec).find(" mem_ctrl "), std::string::npos);
+}
+
 TEST(SpecFormat, ReportsAllErrorsWithLineNumbers) {
   const char* bad = R"(soc broken
 island vi0 1.0 shutdown

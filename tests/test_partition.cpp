@@ -4,8 +4,8 @@
 
 #include <random>
 
-#include "vinoc/graph/algorithms.hpp"
-#include "vinoc/ilp/mincut_model.hpp"
+#include "reference/bisection.hpp"
+#include "reference/partition.hpp"
 #include "vinoc/partition/kway.hpp"
 
 namespace vinoc::partition {
@@ -139,7 +139,8 @@ TEST_P(BisectionQualityTest, CloseToIlpOptimum) {
   const PartitionResult heur = kway_mincut(g, opts);
   ASSERT_TRUE(heur.feasible);
 
-  const ilp::BisectionResult exact = ilp::optimal_bisection(g, 5, 5);
+  const reference::ilp::BisectionResult exact =
+      reference::ilp::optimal_bisection(g, 5, 5);
   ASSERT_TRUE(exact.feasible);
   ASSERT_TRUE(exact.proven_optimal);
   EXPECT_GE(heur.cut_weight, exact.cut_weight - 1e-9);
@@ -173,7 +174,8 @@ TEST_P(KwayInvariantTest, CutRecountAndBounds) {
   opts.seed = seed;
   const PartitionResult r = kway_mincut(g, opts);
   ASSERT_TRUE(r.feasible);
-  EXPECT_NEAR(g.undirected_view().cut_weight(r.block_of), r.cut_weight, 1e-9);
+  EXPECT_NEAR(reference::cut_weight(reference::undirected_view(g), r.block_of),
+              r.cut_weight, 1e-9);
   for (const int b : r.block_of) {
     EXPECT_GE(b, 0);
     EXPECT_LT(b, blocks);
@@ -285,6 +287,32 @@ TEST(Agglomerative, RejectsBadArguments) {
   EXPECT_THROW((void)agglomerative_cluster(g, 0), std::invalid_argument);
   EXPECT_THROW((void)agglomerative_cluster(g, 5), std::invalid_argument);
   EXPECT_THROW((void)agglomerative_cluster(g, 3, 1), std::invalid_argument);
+}
+
+TEST(ReferenceGraphHelpers, UndirectedViewMergesBothDirections) {
+  Digraph g(3);
+  g.add_edge(1, 0, 2.5);
+  g.add_edge(0, 1, 1.5);
+  g.add_edge(2, 2, 9.0);
+  const Digraph u = reference::undirected_view(g);
+  ASSERT_EQ(u.node_count(), 3u);
+  ASSERT_EQ(u.edge_count(), 2u);  // {0,1} and the self loop {2,2}
+  EXPECT_EQ(u.edges()[0].src, 0);
+  EXPECT_EQ(u.edges()[0].dst, 1);
+  EXPECT_DOUBLE_EQ(u.edges()[0].weight, 4.0);
+}
+
+TEST(ReferenceGraphHelpers, CutWeightSumsCrossingEdges) {
+  // 0 -> 1 -> 3, 0 -> 2 -> 3; cut edges 0->2 (5) and 1->3 (1).
+  Digraph g(4);
+  g.add_edge(0, 1, 1.0);
+  g.add_edge(1, 3, 1.0);
+  g.add_edge(0, 2, 5.0);
+  g.add_edge(2, 3, 5.0);
+  const std::vector<int> blocks = {0, 0, 1, 1};
+  EXPECT_DOUBLE_EQ(reference::cut_weight(g, blocks), 6.0);
+  const std::vector<int> bad = {0, 1};
+  EXPECT_THROW((void)reference::cut_weight(g, bad), std::invalid_argument);
 }
 
 TEST(BlockSizes, CountsCorrectly) {

@@ -61,7 +61,6 @@ TEST(SocSpec, CoreGraphMirrorsFlows) {
   EXPECT_EQ(g.edge_count(), 2u);
   EXPECT_DOUBLE_EQ(g.edges()[1].weight, 2e9);
   EXPECT_EQ(g.edges()[1].user, 1);
-  EXPECT_EQ(g.node_name(0), "a");
 }
 
 TEST(SocSpec, FindCore) {
@@ -289,12 +288,6 @@ TEST(Synthetic, RejectsBadParams) {
   p.cores = 10;
   p.hubs = 10;
   EXPECT_THROW((void)make_synthetic_soc(p), std::invalid_argument);
-}
-
-TEST(CoreKindNames, RoundTripStrings) {
-  EXPECT_STREQ(to_string(CoreKind::kCpu), "cpu");
-  EXPECT_STREQ(to_string(CoreKind::kMemController), "mem_ctrl");
-  EXPECT_STREQ(to_string(CoreKind::kPeripheral), "peripheral");
 }
 
 }  // namespace
