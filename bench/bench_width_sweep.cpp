@@ -206,6 +206,8 @@ void print_table(bool quick) {
   // Sharing and delta observability on the aggregate case list
   // (deterministic at threads=1).
   long long partition_hits = 0;
+  long long bisections = 0;
+  long long pair_refinements = 0;
   long long members_skipped = 0;
   long long flows_reused = 0;
   long long flows_rerouted = 0;
@@ -218,6 +220,8 @@ void print_table(bool quick) {
     (void)core::synthesize_width_set(c.spec, kWidths, options, pool, scratch, &st);
     router_work += scratch.router_work();
     partition_hits += st.partition_cache_hits;
+    bisections += st.partition_bisections;
+    pair_refinements += st.partition_pair_refinements;
     members_skipped += st.delta_members_skipped;
     flows_reused += st.delta_flows_reused;
     flows_rerouted += st.delta_flows_rerouted;
@@ -242,6 +246,14 @@ void print_table(bool quick) {
   bench::append_metric(
       w, "partition_cache_hits",
       bench::exact_stat(static_cast<double>(partition_hits), reps_floor));
+  // Partitioner work: distinct bisections and pair refinements the
+  // per-island memos ran (the same at every thread count).
+  bench::append_metric(
+      w, "partition_bisections",
+      bench::exact_stat(static_cast<double>(bisections), reps_floor));
+  bench::append_metric(
+      w, "partition_pair_refinements",
+      bench::exact_stat(static_cast<double>(pair_refinements), reps_floor));
   bench::append_metric(
       w, "members_skipped",
       bench::exact_stat(static_cast<double>(members_skipped), reps_floor));

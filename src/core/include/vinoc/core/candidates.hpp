@@ -115,6 +115,15 @@ class PartitionTable {
     const std::vector<IslandNocParams>& island_params,
     const std::vector<CandidateConfig>& candidates, exec::ThreadPool& pool);
 
+/// Initial positions of the intermediate switches, row k for k of them:
+/// spread on a small ring around the chip centre (refined after routing).
+using RingTable = std::vector<std::vector<floorplan::Point>>;
+
+/// Rows 0..max_k_int of the ring table of `fp`, built once so that no
+/// evaluation recomputes a row.
+[[nodiscard]] RingTable ring_position_table(const floorplan::Floorplan& fp,
+                                            int max_k_int);
+
 /// Everything the evaluation stage reads. All referenced objects are owned
 /// by the caller, fully built before evaluation starts, and never mutated
 /// while evaluations run — evaluate_candidate() is thread-safe by
@@ -133,6 +142,10 @@ struct EvalContext {
   /// Spec-only floor of the power bound: Σ per-core NI dynamic power. Only
   /// read when a ParetoBound is supplied; 0 is a valid (weaker) floor.
   double ni_dynamic_base_w = 0.0;
+  /// ring_position_table(floorplan, ...) covering every k_int evaluated;
+  /// a row it lacks is computed per candidate (same values) when null or
+  /// short.
+  const RingTable* rings = nullptr;
 };
 
 enum class EvalStatus {

@@ -65,6 +65,11 @@ struct WidthSetStats {
   /// partition cache beyond the first computation of each distinct
   /// (island, switch count, max block size) min-cut problem.
   int partition_cache_hits = 0;
+  /// Distinct bisections and pairwise FM refinements the set's min-cut
+  /// partitioner ran (its memo entries; see partition::KwayMemo): exact
+  /// work counters, the same at every thread count.
+  long long partition_bisections = 0;
+  long long partition_pair_refinements = 0;
   /// Sweep-global high-water mark of candidate outcomes buffered by the
   /// streaming per-width merges (see SynthesisStats::
   /// peak_buffered_outcomes).

@@ -50,11 +50,22 @@ std::vector<floorplan::Point> ring_positions(const floorplan::Floorplan& fp,
   return pts;
 }
 
+/// The ring positions of `k_int` intermediate switches: the context's
+/// table row when it has one, else computed into `own`.
+const std::vector<floorplan::Point>& ring_of(const EvalContext& ctx, int k_int,
+                                             std::vector<floorplan::Point>& own) {
+  const auto k = static_cast<std::size_t>(k_int);
+  if (ctx.rings != nullptr && k < ctx.rings->size()) return (*ctx.rings)[k];
+  own = ring_positions(ctx.floorplan, k_int);
+  return own;
+}
+
 /// Builds the switch set for one configuration: one switch per partition
-/// block at the traffic-weighted centroid of its cores, plus `k_int`
-/// intermediate switches at ring_positions().
+/// block at the traffic-weighted centroid of its cores, plus one
+/// intermediate switch at each of the `ring` positions.
 void build_switches(NocTopology& topo, const EvalContext& ctx,
-                    const std::vector<const IslandPartition*>& parts, int k_int) {
+                    const std::vector<const IslandPartition*>& parts,
+                    const std::vector<floorplan::Point>& ring) {
   const soc::SocSpec& spec = ctx.spec;
   const floorplan::Floorplan& fp = ctx.floorplan;
   topo = NocTopology{};
@@ -89,7 +100,7 @@ void build_switches(NocTopology& topo, const EvalContext& ctx,
     }
   }
 
-  for (const floorplan::Point& pos : ring_positions(fp, k_int)) {
+  for (const floorplan::Point& pos : ring) {
     SwitchInst sw;
     sw.island = kIntermediateIsland;
     sw.freq_hz = ctx.intermediate_params.freq_hz;
@@ -325,22 +336,32 @@ bool route_and_finish(const EvalContext& ctx, CandidateOutcome& out,
 
 namespace detail {
 
-IslandPartition partition_island_mincut(const soc::SocSpec& spec,
-                                        const SynthesisOptions& opts,
-                                        const VcgScaling& scaling,
-                                        soc::IslandId island, int switch_count,
-                                        int max_sw_size) {
-  const auto cores = spec.cores_in_island(island);
+IslandPartitioner::IslandPartitioner(const soc::SocSpec& spec,
+                                     const SynthesisOptions& opts)
+    : port_reserve_(opts.port_reserve) {
+  const VcgScaling scaling = vcg_scaling(spec);
+  partition::KwayOptions kopts;
+  kopts.seed = opts.partition_seed;
+  for (std::size_t isl = 0; isl < spec.islands.size(); ++isl) {
+    const auto island = static_cast<soc::IslandId>(isl);
+    cores_.push_back(spec.cores_in_island(island));
+    memos_.push_back(cores_.back().empty()
+                         ? nullptr
+                         : std::make_unique<partition::KwayMemo>(
+                               build_vcg(spec, island, opts.alpha, scaling), kopts));
+  }
+}
+
+IslandPartition IslandPartitioner::partition(soc::IslandId island, int switch_count,
+                                             int max_sw_size) {
+  const auto isl = static_cast<std::size_t>(island);
+  const std::vector<soc::CoreId>& cores = cores_[isl];
   IslandPartition part;
   part.blocks.resize(static_cast<std::size_t>(switch_count));
   if (!cores.empty()) {
-    const graph::Digraph vcg = build_vcg(spec, island, opts.alpha, scaling);
-    partition::KwayOptions kopts;
-    kopts.blocks = switch_count;
-    const int max_size = max_sw_size - opts.port_reserve;
-    kopts.max_block_size = static_cast<std::size_t>(std::max(max_size, 1));
-    kopts.seed = opts.partition_seed;
-    const partition::PartitionResult res = partition::kway_mincut(vcg, kopts);
+    const int max_size = max_sw_size - port_reserve_;
+    const partition::PartitionResult res = memos_[isl]->partition(
+        switch_count, static_cast<std::size_t>(std::max(max_size, 1)));
     for (std::size_t i = 0; i < cores.size(); ++i) {
       part.blocks[static_cast<std::size_t>(res.block_of[i])].push_back(cores[i]);
     }
@@ -351,6 +372,22 @@ IslandPartition partition_island_mincut(const soc::SocSpec& spec,
                                    [](const auto& b) { return b.empty(); }),
                     part.blocks.end());
   return part;
+}
+
+long long IslandPartitioner::bisections() const {
+  long long n = 0;
+  for (const auto& memo : memos_) {
+    n += memo != nullptr ? static_cast<long long>(memo->bisections()) : 0;
+  }
+  return n;
+}
+
+long long IslandPartitioner::pair_refinements() const {
+  long long n = 0;
+  for (const auto& memo : memos_) {
+    n += memo != nullptr ? static_cast<long long>(memo->pair_refinements()) : 0;
+  }
+  return n;
 }
 
 }  // namespace detail
@@ -397,6 +434,12 @@ double compute_ni_dynamic_base_w(const soc::SocSpec& spec,
     total += ni_model.dynamic_power_w(in_bw[c] + out_bw[c]);
   }
   return total;
+}
+
+RingTable ring_position_table(const floorplan::Floorplan& fp, int max_k_int) {
+  RingTable table;
+  for (int k = 0; k <= max_k_int; ++k) table.push_back(ring_positions(fp, k));
+  return table;
 }
 
 std::vector<CandidateConfig> enumerate_candidates(
@@ -455,13 +498,13 @@ PartitionTable compute_partitions(
   }
   PartitionTable table(std::move(keys));
 
-  const VcgScaling scaling = vcg_scaling(spec);
+  detail::IslandPartitioner partitioner(spec, options);
   exec::parallel_for_each(pool, table.size(), [&](std::size_t i) {
     OBS_SPAN("partition_mincut");
     const obs::PhaseScope obs_phase(obs::Phase::kPartition);
     const PartitionKey& key = table.key(i);
-    table.slot(i) = detail::partition_island_mincut(
-        spec, options, scaling, key.first, key.second,
+    table.slot(i) = partitioner.partition(
+        key.first, key.second,
         island_params[static_cast<std::size_t>(key.first)].max_sw_size);
   });
   return table;
@@ -512,7 +555,8 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
       return out;
     }
     const CandidateOutcome& lead = *ref->outcome;
-    if (certify_delta_member(ring_positions(ctx.floorplan, cand.intermediate_switches),
+    std::vector<floorplan::Point> own_ring;
+    if (certify_delta_member(ring_of(ctx, cand.intermediate_switches, own_ring),
                              ctx.intermediate_params.freq_hz, ctx.spec, ropts,
                              *delta)) {
       out.status = lead.status;
@@ -533,7 +577,9 @@ CandidateOutcome evaluate_candidate(const EvalContext& ctx,
     parts[isl] = &ctx.partitions.at(
         PartitionKey{static_cast<soc::IslandId>(isl), cand.switches_per_island[isl]});
   }
-  build_switches(out.point.topology, ctx, parts, cand.intermediate_switches);
+  std::vector<floorplan::Point> own_ring;
+  build_switches(out.point.topology, ctx, parts,
+                 ring_of(ctx, cand.intermediate_switches, own_ring));
 
   // Pareto-bound pruning: reject before routing when the pre-routing floor
   // is already dominated, otherwise hand the bound to the router for

@@ -1,5 +1,6 @@
 #include "vinoc/core/explore.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -134,7 +135,9 @@ std::vector<WidthSweepEntry> synthesize_width_set(
   // distinct (island, switch count, max block size) across ALL classes —
   // the cross-width partition cache: two widths whose island shares a max
   // switch size reuse the same partition even when their frequencies (and
-  // hence classes) differ.
+  // hence classes) differ. One IslandPartitioner serves every problem, so
+  // each island's VCG is built once and its bisections and pair
+  // refinements are shared by all of its switch counts and caps.
   using CacheKey = std::tuple<soc::IslandId, int, int>;
   std::map<CacheKey, IslandPartition> partition_cache;
   int class_slots_total = 0;
@@ -158,13 +161,20 @@ std::vector<WidthSweepEntry> synthesize_width_set(
                               IslandPartition{});
     }
   }
+  // The partitioner's memo is dropped once the cache is filled, so it never
+  // adds to the evaluation's memory.
+  long long partition_bisections = 0;
+  long long partition_pair_refinements = 0;
   {
+    detail::IslandPartitioner partitioner = [&] {
+      const obs::PhaseScope obs_phase(obs::Phase::kPartition);
+      return detail::IslandPartitioner(spec, base_options);
+    }();
     std::vector<std::map<CacheKey, IslandPartition>::iterator> cache_slots;
     cache_slots.reserve(partition_cache.size());
     for (auto it = partition_cache.begin(); it != partition_cache.end(); ++it) {
       cache_slots.push_back(it);
     }
-    const VcgScaling scaling = vcg_scaling(spec);
     exec::parallel_for_each(pool, cache_slots.size(), [&](std::size_t i) {
       OBS_SPAN("partition_mincut");
       if (base_options.cancel != nullptr) {
@@ -172,9 +182,10 @@ std::vector<WidthSweepEntry> synthesize_width_set(
       }
       const obs::PhaseScope obs_phase(obs::Phase::kPartition);
       const auto& [island, k, max_sw] = cache_slots[i]->first;
-      cache_slots[i]->second = detail::partition_island_mincut(
-          spec, base_options, scaling, island, k, max_sw);
+      cache_slots[i]->second = partitioner.partition(island, k, max_sw);
     });
+    partition_bisections = partitioner.bisections();
+    partition_pair_refinements = partitioner.pair_refinements();
   }
   for (WidthClass& wc : classes) {
     const WidthSlice& first = slices[wc.width_indices.front()];
@@ -233,6 +244,13 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     result.island_params = slices[i].island_params;
     result.intermediate_params = slices[i].intermediate_params;
   }
+  int max_k_int = 0;
+  for (const WidthClass& wc : classes) {
+    for (const CandidateConfig& cand : wc.candidates) {
+      max_k_int = std::max(max_k_int, cand.intermediate_switches);
+    }
+  }
+  const RingTable rings = ring_position_table(plan, max_k_int);
   std::vector<std::unique_ptr<ClassState>> class_states;
   class_states.reserve(classes.size());
   for (const WidthClass& wc : classes) {
@@ -248,7 +266,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
                                     traffic,
                                     slices[wi].options,
                                     &flow_order,
-                                    ni_base});
+                                    ni_base,
+                                    &rings});
     }
     for (std::size_t j = 0; j < wc.width_indices.size(); ++j) {
       const EvalContext* ctx = &cs->ctx[j];
@@ -371,6 +390,8 @@ std::vector<WidthSweepEntry> synthesize_width_set(
     stats->width_classes = static_cast<int>(classes.size());
     stats->partition_cache_hits =
         class_slots_total - static_cast<int>(partition_cache.size());
+    stats->partition_bisections = partition_bisections;
+    stats->partition_pair_refinements = partition_pair_refinements;
     stats->peak_buffered_outcomes = peak_buffered.load();
   }
   for (std::size_t i = 0; i < widths.size(); ++i) {
@@ -435,6 +456,8 @@ obs::Registry WidthSetStats::to_registry() const {
   obs::Registry reg;
   reg.add("width_classes", width_classes);
   reg.add("partition_cache_hits", partition_cache_hits);
+  reg.add("partition_bisections", partition_bisections);
+  reg.add("partition_pair_refinements", partition_pair_refinements);
   reg.record_max("peak_buffered_outcomes", peak_buffered_outcomes);
   reg.add("delta_candidates", delta_candidates);
   reg.add("delta_flows_reused", delta_flows_reused);

@@ -20,14 +20,35 @@
 // as vinoc::reference::kway_mincut in tests/reference/: for every input it
 // returns the same block_of, the same cut_weight bits and the same
 // feasible (tests/test_reference.cpp diffs the two on every benchmark
-// problem and on random graphs). It coalesces the graph once per call and
-// only skips work whose result it already knows exactly: a bisection
-// restart that grows the same start as an earlier one, an FM pass with no
-// legal move, and a block pair whose FM moved nothing while neither block
-// has changed since. It does NOT skip block pairs that share no edge:
-// with no cut between them the skip is exact in real arithmetic, but FM
-// can count rounding noise above its 1e-12 threshold as a gain there, and
-// on random graphs with large weights the skip changed results.
+// problem and on random graphs). It only skips work whose result it
+// already knows exactly: a bisection restart that grows the same start as
+// an earlier one, an FM pass with no legal move, and a block pair whose FM
+// moved nothing while neither block has changed since. It does NOT skip
+// block pairs that share no edge: with no cut between them the skip is
+// exact in real arithmetic, but FM can count rounding noise above its
+// 1e-12 threshold as a gain there, and on random graphs with large weights
+// the skip changed results.
+//
+// KwayMemo partitions one graph for many block counts and caps, as
+// Algorithm 1 does for every switch count of an island. It coalesces the
+// graph and generates the engine's first draws once, and it memoises two
+// steps whose outcome is a function of a small key:
+//  * A bisection depends on the node subset, its side-0 size n0, the slack
+//    left after the cap clamps, and the random draws it takes. Those draws
+//    are the stream of mt19937(seed) from the position the call has
+//    reached, so the position is part of the key: the same subset bisected
+//    at another position grows other starts and may split differently. A
+//    hit copies the winning sides and skips as many draws as the restarts
+//    took, so every later draw of the call is the one a fresh call makes.
+//    The key holds the slack after the clamps, not the cap, so different
+//    caps share an entry wherever their clamps agree.
+//  * A pairwise FM refinement depends on the two blocks' nodes, their
+//    sides and the side-0 bounds lo0 and hi0. It draws nothing. A hit
+//    copies the resulting sides and total gain.
+// A hit therefore returns exactly what running the step would, and every
+// result equals kway_mincut()'s whatever the order of the calls. Entries
+// are found by a 64-bit hash and verified against the full key.
+// kway_mincut() is a KwayMemo used for one call.
 //
 // agglomerative_cluster() is pinned the same way to its first version,
 // vendored as vinoc::reference::agglomerative_cluster: same block_of,
@@ -37,6 +58,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "vinoc/graph/digraph.hpp"
@@ -70,6 +92,34 @@ struct PartitionResult {
 /// Balanced k-way min-cut. Throws std::invalid_argument on blocks < 1 or an
 /// impossible cap (blocks * max_block_size < node_count).
 PartitionResult kway_mincut(const graph::Digraph& g, const KwayOptions& options);
+
+/// One graph partitioned for many block counts and caps with the same
+/// seed, restarts, refinement passes and pairwise settings (see the
+/// contract at the top of this file). Concurrent partition() calls are
+/// safe: the memo is split into shards, each under its own lock.
+class KwayMemo {
+ public:
+  /// Takes everything from `options` except blocks and max_block_size,
+  /// which each partition() call gives.
+  KwayMemo(const graph::Digraph& g, const KwayOptions& options);
+  ~KwayMemo();
+  KwayMemo(const KwayMemo&) = delete;
+  KwayMemo& operator=(const KwayMemo&) = delete;
+
+  /// kway_mincut() of the graph with these blocks and max_block_size,
+  /// bit for bit.
+  [[nodiscard]] PartitionResult partition(int blocks, std::size_t max_block_size);
+
+  /// Distinct bisections run so far (memo entries): the same for any
+  /// order or concurrency of the same calls.
+  [[nodiscard]] std::size_t bisections() const;
+  /// Distinct pairwise FM refinements run so far, counted the same way.
+  [[nodiscard]] std::size_t pair_refinements() const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
 
 /// Greedy agglomerative clustering: repeatedly merges the pair of clusters
 /// joined by the largest total edge weight until exactly `clusters` remain

@@ -1,13 +1,18 @@
 #include "vinoc/partition/kway.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 
 namespace vinoc::partition {
 
@@ -109,14 +114,179 @@ bool has_legal_move(std::size_t size0, std::size_t n, std::size_t lo0, std::size
   return from0 || from1;
 }
 
-/// Per-call state: the coalesced graph plus scratch buffers that every
-/// bisection, FM pass and block pair reuses. One per kway_mincut() call, so
-/// concurrent calls share nothing.
-struct Partitioner {
-  const KwayOptions& options;
+/// The raw output stream of std::mt19937(seed), counted by position. The
+/// first draws come from a prefix the memo generated once; past it, a
+/// private engine continues from the state the prefix ended in. The
+/// stream has the engine's result type and range, so a distribution draws
+/// from it exactly what it would draw from a freshly seeded engine.
+class Draws {
+ public:
+  using result_type = std::mt19937::result_type;
+  static constexpr result_type min() { return std::mt19937::min(); }
+  static constexpr result_type max() { return std::mt19937::max(); }
+
+  Draws(std::span<const result_type> prefix, const std::mt19937& after_prefix)
+      : prefix_(prefix), after_prefix_(after_prefix) {}
+
+  result_type operator()() {
+    const std::size_t at = pos_++;
+    if (at < prefix_.size()) return prefix_[at];
+    if (!engine_) {
+      engine_.emplace(after_prefix_);
+      engine_->discard(at - prefix_.size());
+    }
+    return (*engine_)();
+  }
+  /// Moves past `count` draws without producing them.
+  void skip(std::size_t count) {
+    pos_ += count;
+    if (engine_) engine_->discard(count);
+  }
+  /// Raw draws taken so far.
+  [[nodiscard]] std::size_t position() const { return pos_; }
+
+ private:
+  std::span<const result_type> prefix_;
+  const std::mt19937& after_prefix_;
+  std::optional<std::mt19937> engine_;
+  std::size_t pos_ = 0;
+};
+
+/// 64-bit hash of an int sequence: FNV-1a over the values, then a
+/// splitmix64 finaliser so that the top bits pick a shard evenly.
+std::uint64_t hash_ints(std::span<const int> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const int v : values) {
+    h ^= static_cast<std::uint32_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ULL;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebULL;
+  return h ^ (h >> 31);
+}
+
+/// Results of one kind of memoised step, keyed by int sequences. A 64-bit
+/// hash indexes the entries and every hit is checked against the full key,
+/// so a hash collision costs a comparison, never a wrong result. The table
+/// is split into shards by hash, each under its own mutex, so concurrent
+/// partitions of one graph seldom wait for each other. A shard keeps its
+/// keys back to back in one array, so an entry costs one index node.
+template <class Value>
+class MemoTable {
+ public:
+  /// Calls `on_hit(value)` and returns true when `key` is stored.
+  template <class OnHit>
+  bool find(std::uint64_t hash, std::span<const int> key, OnHit&& on_hit) {
+    Shard& s = shard(hash);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (const Entry* e = s.find(hash, key)) {
+      on_hit(e->value);
+      return true;
+    }
+    return false;
+  }
+
+  /// Stores `value` under `key`. When a concurrent call stored the key
+  /// first, its value is the same one, and the table keeps it.
+  void insert(std::uint64_t hash, std::span<const int> key, Value value) {
+    Shard& s = shard(hash);
+    const std::lock_guard<std::mutex> lock(s.mutex);
+    if (s.find(hash, key) != nullptr) return;
+    s.index.emplace(hash, Entry{s.keys.size(), key.size(), std::move(value)});
+    s.keys.insert(s.keys.end(), key.begin(), key.end());
+  }
+
+  /// Distinct keys stored.
+  [[nodiscard]] std::size_t size() const {
+    std::size_t n = 0;
+    for (const Shard& s : shards_) {
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      n += s.index.size();
+    }
+    return n;
+  }
+
+ private:
+  struct Entry {
+    std::size_t key_offset;  ///< into the shard's `keys`
+    std::size_t key_size;
+    Value value;
+  };
+  struct Shard {
+    mutable std::mutex mutex;
+    std::vector<int> keys;
+    std::unordered_multimap<std::uint64_t, Entry> index;
+
+    [[nodiscard]] const Entry* find(std::uint64_t hash, std::span<const int> key) const {
+      const auto [first, last] = index.equal_range(hash);
+      for (auto it = first; it != last; ++it) {
+        const Entry& e = it->second;
+        if (std::ranges::equal(std::span(keys).subspan(e.key_offset, e.key_size), key)) {
+          return &e;
+        }
+      }
+      return nullptr;
+    }
+  };
+  static constexpr int kShardBits = 4;
+
+  Shard& shard(std::uint64_t hash) { return shards_[hash >> (64 - kShardBits)]; }
+
+  std::array<Shard, std::size_t{1} << kShardBits> shards_;
+};
+
+/// A bisection's outcome: the winning restart's sides and the raw draws
+/// its restarts took.
+struct Bisection {
+  std::vector<char> best_side;
+  std::size_t draws = 0;
+};
+
+/// A block pair's FM refinement: its total gain and, when FM kept any move,
+/// the sides it ends with. Most pairs keep none and store no sides.
+struct Refinement {
+  std::vector<char> side;
+  double gain = 0.0;
+};
+
+/// What every partition of one graph shares: the coalesced graph, the
+/// first draws of mt19937(seed), and the memoised bisections and pair
+/// refinements.
+struct MemoState {
+  /// Raw draws generated up front: one state block of the engine, more
+  /// than any partition of a graph of up to ~150 nodes takes at the
+  /// default 4 restarts. Larger graphs continue from `after_prefix`.
+  static constexpr std::size_t kPrefixDraws = std::mt19937::state_size;
+
+  KwayOptions options;
+  std::size_t node_count;
   std::vector<Pair> pairs;
   Adjacency whole;  ///< the whole graph
-  std::mt19937 rng;
+  std::vector<Draws::result_type> prefix;
+  std::mt19937 after_prefix;
+  MemoTable<Bisection> bisections;
+  MemoTable<Refinement> refinements;
+
+  MemoState(const Digraph& g, const KwayOptions& opts)
+      : options(opts),
+        node_count(g.node_count()),
+        pairs(coalesce(g)),
+        whole(adjacency(g.node_count(), pairs)),
+        prefix(kPrefixDraws),
+        after_prefix(opts.seed) {
+    for (Draws::result_type& d : prefix) d = after_prefix();
+  }
+};
+
+/// Per-call state: the memo of the graph plus scratch buffers that every
+/// bisection, FM pass and block pair of the call reuses. One per
+/// partition() call, so concurrent calls share only the memo.
+struct Partitioner {
+  MemoState& memo;
+  KwayOptions options;  ///< the memo's, with this call's blocks and cap
+  Draws rng;
 
   /// Local graph of the subset being bisected or refined: local ids
   /// 0..m-1 follow the subset's ascending original ids, so each local row
@@ -138,13 +308,13 @@ struct Partitioner {
     double cum_gain;
   };
   std::vector<Move> moves;
+  std::vector<int> key;  ///< memo key being looked up
 
-  Partitioner(const Digraph& g, const KwayOptions& opts)
-      : options(opts),
-        pairs(coalesce(g)),
-        whole(adjacency(g.node_count(), pairs)),
-        rng(opts.seed),
-        local_of(g.node_count(), -1) {}
+  Partitioner(MemoState& m, int blocks, std::size_t max_block_size)
+      : memo(m), options(m.options), rng(m.prefix, m.after_prefix), local_of(m.node_count, -1) {
+    options.blocks = blocks;
+    options.max_block_size = max_block_size;
+  }
 
   /// Builds `local` for `nodes` (ascending original ids) in O(sum of deg).
   void build_local(std::span<const NodeId> nodes) {
@@ -154,7 +324,7 @@ struct Partitioner {
     local.offset.assign(1, 0);
     local.arcs.clear();
     for (const NodeId u : nodes) {
-      for (const Arc& a : whole.row(static_cast<std::size_t>(u))) {
+      for (const Arc& a : memo.whole.row(static_cast<std::size_t>(u))) {
         const int b = local_of[static_cast<std::size_t>(a.to)];
         if (b >= 0) local.arcs.push_back({b, a.weight});
       }
@@ -237,13 +407,30 @@ struct Partitioner {
     return best_cum;
   }
 
-  /// Balanced bisection of `local` into sides of (n0, n-n0) nodes, with a
-  /// slack of +-`slack` tolerated during refinement. Leaves the best
-  /// restart's sides in `best_side`. A restart whose grown start equals an
-  /// earlier one's is skipped: FM would repeat that restart exactly and
-  /// its cut, being no lower, could not replace the best (strict <). Its
-  /// seed node is still drawn, so the random stream is unchanged.
-  void bisect(std::size_t n0, std::size_t slack) {
+  /// Balanced bisection of `nodes` (ascending original ids) into sides of
+  /// (n0, n-n0) nodes, with a slack of +-`slack` tolerated during
+  /// refinement. Leaves the best restart's sides in `best_side`. A
+  /// restart whose grown start equals an earlier one's is skipped: FM
+  /// would repeat that restart exactly and its cut, being no lower, could
+  /// not replace the best (strict <). Its seed node is still drawn, so the
+  /// random stream is unchanged.
+  ///
+  /// The outcome depends only on the subset, n0, slack and the draws that
+  /// follow the current stream position, so it is memoised under exactly
+  /// those: a hit copies the sides and skips the draws the restarts took.
+  void bisect(std::span<const NodeId> nodes, std::size_t n0, std::size_t slack) {
+    key.assign({static_cast<int>(n0), static_cast<int>(slack),
+                static_cast<int>(rng.position())});
+    key.insert(key.end(), nodes.begin(), nodes.end());
+    const std::uint64_t hash = hash_ints(key);
+    if (memo.bisections.find(hash, key, [&](const Bisection& b) {
+          best_side.assign(b.best_side.begin(), b.best_side.end());
+          rng.skip(b.draws);
+        })) {
+      return;
+    }
+    const std::size_t first_draw = rng.position();
+    build_local(nodes);
     const std::size_t n = local.size();
     const std::size_t lo0 = n0 > slack ? n0 - slack : 0;
     const std::size_t hi0 = std::min(n, n0 + slack);
@@ -294,6 +481,8 @@ struct Partitioner {
         best_side = side;
       }
     }
+    memo.bisections.insert(hash, key,
+                           {{best_side.begin(), best_side.end()}, rng.position() - first_draw});
   }
 
   /// Recursive bisection of `nodes` (ascending original ids) into `blocks`
@@ -322,7 +511,6 @@ struct Partitioner {
     }
     n0 = std::min(std::max<std::size_t>(n0, 1), n - 1);
 
-    build_local(nodes);
     // Slack lets FM wiggle but the cap side bound stays hard.
     std::size_t slack = std::max<std::size_t>(1, n / 10);
     if (cap > 0) {
@@ -331,7 +519,7 @@ struct Partitioner {
       slack = std::min({slack, max0 >= n0 ? max0 - n0 : 0,
                         (n - n0) <= max1 ? std::min(slack, n0 - 1) : 0});
     }
-    bisect(n0, slack);
+    bisect(nodes, n0, slack);
 
     // Stable split: side 0 to the front, side 1 behind it.
     spill.clear();
@@ -351,11 +539,12 @@ struct Partitioner {
   /// FM between every pair of blocks, with side bounds derived from the
   /// size cap, until a round improves no pair (bounded rounds). The
   /// best-prefix rollback inside fm_pass guarantees the cut never worsens.
-  /// FM on a pair depends only on the two blocks' node sets, so a pair
+  /// FM on a pair depends only on the two blocks' node sets and the side
+  /// bounds, so its outcome is memoised under exactly those, and a pair
   /// whose FM moved nothing stays settled until one of its blocks changes:
-  /// running it again would repeat the same no-op. Pairs that share no edge
-  /// are still refined: FM can count rounding noise above its threshold as
-  /// a gain there, and skipping them would change results.
+  /// running it again would repeat the same no-op. Pairs that share no
+  /// edge are still refined: FM can count rounding noise above its
+  /// threshold as a gain there, and skipping them would change results.
   void pairwise_refine(std::vector<int>& block_of) {
     const int blocks = options.blocks;
     const auto k = static_cast<std::size_t>(blocks);
@@ -392,12 +581,25 @@ struct Partitioner {
             settled[a * k + b] = 1;
             continue;
           }
-          build_local(subset);
+          key.assign({static_cast<int>(lo0), static_cast<int>(hi0)});
+          for (std::size_t i = 0; i < n; ++i) key.push_back(2 * subset[i] + side[i]);
+          const std::uint64_t hash = hash_ints(key);
           double total = 0.0;
-          for (int p = 0; p < options.refinement_passes; ++p) {
-            const double g = fm_pass(lo0, hi0);
-            total += g;
-            if (g <= 1e-12) break;
+          if (!memo.refinements.find(hash, key, [&](const Refinement& r) {
+                if (!r.side.empty()) side.assign(r.side.begin(), r.side.end());
+                total = r.gain;
+              })) {
+            build_local(subset);
+            for (int p = 0; p < options.refinement_passes; ++p) {
+              const double g = fm_pass(lo0, hi0);
+              total += g;
+              if (g <= 1e-12) break;
+            }
+            // FM keeps a move only for a gain above 1e-12, so a total at or
+            // below it left every side as it was.
+            Refinement r{{}, total};
+            if (total > 1e-12) r.side.assign(side.begin(), side.end());
+            memo.refinements.insert(hash, key, std::move(r));
           }
           if (total <= 1e-12) {
             settled[a * k + b] = 1;
@@ -424,13 +626,21 @@ struct Partitioner {
 
 }  // namespace
 
-PartitionResult kway_mincut(const Digraph& g, const KwayOptions& options) {
-  if (options.blocks < 1) throw std::invalid_argument("kway_mincut: blocks < 1");
-  const std::size_t n = g.node_count();
+struct KwayMemo::Impl : MemoState {
+  using MemoState::MemoState;
+};
+
+KwayMemo::KwayMemo(const Digraph& g, const KwayOptions& options)
+    : impl_(std::make_unique<Impl>(g, options)) {}
+
+KwayMemo::~KwayMemo() = default;
+
+PartitionResult KwayMemo::partition(int blocks, std::size_t max_block_size) {
+  if (blocks < 1) throw std::invalid_argument("kway_mincut: blocks < 1");
+  const std::size_t n = impl_->node_count;
   PartitionResult result;
-  result.blocks = options.blocks;
-  if (options.max_block_size > 0 &&
-      static_cast<std::size_t>(options.blocks) * options.max_block_size < n) {
+  result.blocks = blocks;
+  if (max_block_size > 0 && static_cast<std::size_t>(blocks) * max_block_size < n) {
     throw std::invalid_argument(
         "kway_mincut: blocks * max_block_size < node_count (cannot fit)");
   }
@@ -440,22 +650,30 @@ PartitionResult kway_mincut(const Digraph& g, const KwayOptions& options) {
     return result;
   }
 
-  Partitioner part(g, options);
+  Partitioner part(*impl_, blocks, max_block_size);
   std::vector<NodeId> all(n);
   std::iota(all.begin(), all.end(), 0);
-  part.recurse(all, options.blocks, 0, result.block_of);
-  if (options.pairwise_refinement && options.blocks > 2) {
+  part.recurse(all, blocks, 0, result.block_of);
+  if (part.options.pairwise_refinement && blocks > 2) {
     part.pairwise_refine(result.block_of);
   }
 
-  result.cut_weight = cut_weight(part.pairs, result.block_of);
+  result.cut_weight = cut_weight(impl_->pairs, result.block_of);
   result.feasible = true;
-  if (options.max_block_size > 0) {
-    for (const std::size_t s : block_sizes(result.block_of, options.blocks)) {
-      if (s > options.max_block_size) result.feasible = false;
+  if (max_block_size > 0) {
+    for (const std::size_t s : block_sizes(result.block_of, blocks)) {
+      if (s > max_block_size) result.feasible = false;
     }
   }
   return result;
+}
+
+std::size_t KwayMemo::bisections() const { return impl_->bisections.size(); }
+
+std::size_t KwayMemo::pair_refinements() const { return impl_->refinements.size(); }
+
+PartitionResult kway_mincut(const Digraph& g, const KwayOptions& options) {
+  return KwayMemo(g, options).partition(options.blocks, options.max_block_size);
 }
 
 PartitionResult agglomerative_cluster(const Digraph& g, int clusters,

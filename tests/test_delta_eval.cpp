@@ -264,10 +264,12 @@ TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
   // replays against its leader's reference whatever the thread count, and
   // the same flows route live. With prune on, a member's prune decision
   // depends on the bound snapshot (and a pruned member counts no delta
-  // work), so equality is asserted with prune off.
+  // work), so equality is asserted with prune off. The partitioner's work
+  // counters count distinct memo entries, which no schedule changes.
   const soc::SocSpec l2 = islanded(soc::make_d64_tile_soc(), 2);
   const soc::SocSpec l4 = islanded(soc::make_d64_tile_soc(), 4);
   std::vector<DeltaTallies> synth, sweep;
+  std::vector<std::pair<long long, long long>> partition_work;
   for (const int threads : {1, 4}) {
     SynthesisOptions opt;
     opt.prune = false;
@@ -291,6 +293,7 @@ TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
     sweep.emplace_back(w.delta_candidates, w.delta_flows_reused,
                        w.delta_flows_rerouted, w.delta_members_skipped,
                        work.expansions, work.relaxations);
+    partition_work.emplace_back(w.partition_bisections, w.partition_pair_refinements);
   }
   EXPECT_GT(std::get<3>(synth[0]), 0);
   EXPECT_GT(std::get<4>(synth[0]), 0);
@@ -298,6 +301,9 @@ TEST(DeltaEval, CountersDoNotDependOnThreadCount) {
   EXPECT_GT(std::get<3>(sweep[0]), 0);
   EXPECT_GT(std::get<5>(sweep[0]), 0);
   EXPECT_EQ(sweep[1], sweep[0]) << "d64/l4 fine sweep";
+  EXPECT_GT(partition_work[0].first, 0);
+  EXPECT_GT(partition_work[0].second, 0);
+  EXPECT_EQ(partition_work[1], partition_work[0]) << "d64/l4 fine sweep partitioning";
 }
 
 TEST(DeltaEval, SkippedMembersCarryTheirOwnCheckpointAndDesign) {

@@ -246,6 +246,55 @@ TEST(PairwiseRefinement, FixesSuboptimalRecursiveSplit) {
   EXPECT_DOUBLE_EQ(r.cut_weight, 2.0);
 }
 
+TEST(KwayMemo, DrawsPastThePrefixMatchOracle) {
+  // A memo generates the engine's first 624 draws once; a partition that
+  // takes more continues from the engine state after them. At 32 restarts
+  // a bisection takes 32 draws, so the prefix ends near the 20th
+  // bisection, and one memo serving every block count under three caps
+  // skips draws before, across and after its end.
+  std::mt19937 rng(77);
+  const int n = 40;
+  Digraph g(n);
+  for (int e = 0; e < 3 * n; ++e) {
+    g.add_edge(static_cast<int>(rng() % n), static_cast<int>(rng() % n),
+               static_cast<double>(rng() % 100));
+  }
+  KwayOptions opts;
+  opts.seed = 5;
+  opts.restarts = 32;
+  KwayMemo memo(g, opts);
+  int mismatches = 0;
+  for (int blocks = n; blocks >= 1; --blocks) {
+    const std::size_t tight = (n + static_cast<std::size_t>(blocks) - 1) / blocks;
+    for (const std::size_t cap : {std::size_t{0}, tight, tight + 1}) {
+      opts.blocks = blocks;
+      opts.max_block_size = cap;
+      const PartitionResult head = memo.partition(blocks, cap);
+      const PartitionResult ref = reference::kway_mincut(g, opts);
+      mismatches += head.block_of != ref.block_of || head.cut_weight != ref.cut_weight;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(KwayMemo, CountsDistinctWork) {
+  // A repeated call finds every bisection and pair refinement in the memo.
+  const Digraph g = two_clusters(1.0);
+  KwayMemo memo(g, KwayOptions{});
+  (void)memo.partition(4, 0);
+  const std::size_t bisections = memo.bisections();
+  const std::size_t refinements = memo.pair_refinements();
+  EXPECT_EQ(bisections, 3u);
+  EXPECT_GT(refinements, 0u);
+  (void)memo.partition(4, 0);
+  EXPECT_EQ(memo.bisections(), bisections);
+  EXPECT_EQ(memo.pair_refinements(), refinements);
+  // Two blocks share the first bisection of four, and refine no pair.
+  (void)memo.partition(2, 0);
+  EXPECT_EQ(memo.bisections(), bisections);
+  EXPECT_EQ(memo.pair_refinements(), refinements);
+}
+
 TEST(Agglomerative, MergesHeaviestPairsFirst) {
   Digraph g(5);
   g.add_edge(0, 1, 10.0);

@@ -43,6 +43,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <numeric>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -293,19 +295,26 @@ TEST(ReferenceSweep, D26L4EntriesMatchPerWidthOracle) {
 // --- Partitioner ----------------------------------------------------------
 
 /// One min-cut problem: a graph and the options it is partitioned with.
+/// Problems with the same `group` share one graph and all options but
+/// blocks and max_block_size, and are partitioned through one shared
+/// partition::KwayMemo, as the engine shares one per island.
 struct PartitionProblem {
   std::string where;
-  graph::Digraph graph;
+  std::shared_ptr<const graph::Digraph> graph;  ///< shared within a group
   partition::KwayOptions options;
+  std::size_t group = 0;
 };
 
 /// Appends every distinct (island, switch count, block cap) problem that
 /// synthesizing `spec` at each of `widths` asks the partitioner, once per
-/// partition seed 1-4. Infeasible widths issue none.
+/// partition seed 1-4. Infeasible widths issue none. Each (island, seed)
+/// is one group across all widths, as in one synthesize_width_set() call.
 void add_synthesis_problems(const std::string& name, const soc::SocSpec& spec,
                             const std::vector<int>& widths,
-                            std::vector<PartitionProblem>& out) {
+                            std::vector<PartitionProblem>& out, std::size_t& groups) {
   const core::VcgScaling scaling = core::vcg_scaling(spec);
+  const std::size_t first_group = groups;
+  groups += 4 * spec.islands.size();
   std::set<std::tuple<int, int, std::size_t>> seen;
   for (const int width : widths) {
     const core::SynthesisOptions opt = options_at(width);
@@ -323,8 +332,8 @@ void add_synthesis_problems(const std::string& name, const soc::SocSpec& spec,
         const auto cap = static_cast<std::size_t>(
             std::max(params[isl].max_sw_size - opt.port_reserve, 1));
         if (!seen.emplace(static_cast<int>(isl), k, cap).second) continue;
-        const graph::Digraph vcg =
-            core::build_vcg(spec, static_cast<soc::IslandId>(isl), opt.alpha, scaling);
+        const auto vcg = std::make_shared<const graph::Digraph>(
+            core::build_vcg(spec, static_cast<soc::IslandId>(isl), opt.alpha, scaling));
         for (unsigned seed = 1; seed <= 4; ++seed) {
           partition::KwayOptions kopts;
           kopts.blocks = k;
@@ -333,7 +342,7 @@ void add_synthesis_problems(const std::string& name, const soc::SocSpec& spec,
           out.push_back({name + " island " + std::to_string(isl) + " k " +
                              std::to_string(k) + " cap " + std::to_string(cap) +
                              " seed " + std::to_string(seed),
-                         vcg, kopts});
+                         vcg, kopts, first_group + 4 * isl + (seed - 1)});
         }
       }
     }
@@ -344,15 +353,16 @@ void add_synthesis_problems(const std::string& name, const soc::SocSpec& spec,
 /// counts and widths, and the campaign-mix synthetic SoCs.
 std::vector<PartitionProblem> benchmark_problems() {
   std::vector<PartitionProblem> out;
+  std::size_t groups = 0;
   const soc::Benchmark d26 = soc::make_d26_media_soc();
   const soc::Benchmark d64 = soc::make_d64_tile_soc();
   for (int islands = 2; islands <= 6; ++islands) {
     add_synthesis_problems("d26_l" + std::to_string(islands), logical(d26, islands),
-                           {16, 32, 64, 128}, out);
+                           {16, 32, 64, 128}, out, groups);
   }
   for (const int islands : {2, 4, 6}) {
     add_synthesis_problems("d64_l" + std::to_string(islands), logical(d64, islands),
-                           {32, 64, 128, 256}, out);
+                           {32, 64, 128, 256}, out, groups);
   }
   const auto add_synthetic = [&](int cores, int hubs, unsigned seed, int perturbations) {
     soc::SyntheticParams params;
@@ -368,10 +378,10 @@ std::vector<PartitionProblem> benchmark_problems() {
         const std::string l = "_l" + std::to_string(islands);
         add_synthesis_problems(base + "_logical" + l,
                                soc::with_logical_islands(b.soc, islands, b.use_cases),
-                               {32, 64}, out);
+                               {32, 64}, out, groups);
         add_synthesis_problems(base + "_comm" + l,
                                soc::with_communication_islands(b.soc, islands, b.use_cases),
-                               {32, 64}, out);
+                               {32, 64}, out, groups);
       }
     }
   };
@@ -380,28 +390,37 @@ std::vector<PartitionProblem> benchmark_problems() {
   return out;
 }
 
-/// Seeded random graphs covering the corners the benchmark inputs do not:
-/// self loops, parallel and antiparallel edges, zero weights, weights up to
-/// ~1e9, no cap or a tight one, and every block count from 1 to n.
+/// A seeded random graph of 1-40 nodes covering the corners the benchmark
+/// inputs do not: self loops, parallel and antiparallel edges, zero
+/// weights, and weights of the given scale.
+graph::Digraph random_graph(std::mt19937& rng, double scale) {
+  const int n = std::uniform_int_distribution<int>(1, 40)(rng);
+  graph::Digraph g(static_cast<std::size_t>(n));
+  const int edges = std::uniform_int_distribution<int>(0, 3 * n)(rng);
+  std::uniform_int_distribution<int> node(0, n - 1);
+  std::uniform_real_distribution<double> weight(0.0, 1.0);
+  for (int e = 0; e < edges; ++e) {
+    const int a = node(rng);
+    const int b = node(rng);
+    const double w = rng() % 8 == 0 ? 0.0 : weight(rng) * scale;
+    g.add_edge(a, b, w);
+    if (rng() % 6 == 0) g.add_edge(rng() % 2 == 0 ? a : b, rng() % 2 == 0 ? a : b, w);
+  }
+  return g;
+}
+
+constexpr double kWeightScales[] = {1.0, 1e3, 1e6, 1e9};
+
+/// Seeded random graphs, each its own group (partitioned by one
+/// kway_mincut() call), with weights up to ~1e9, no cap or a tight one,
+/// and every block count from 1 to n.
 std::vector<PartitionProblem> random_problems(std::size_t count) {
   std::vector<PartitionProblem> out;
   out.reserve(count);
   std::mt19937 rng(20091);
-  const double scales[] = {1.0, 1e3, 1e6, 1e9};
   for (std::size_t i = 0; i < count; ++i) {
-    const int n = std::uniform_int_distribution<int>(1, 40)(rng);
-    graph::Digraph g(static_cast<std::size_t>(n));
-    const double scale = scales[i % 4];
-    const int edges = std::uniform_int_distribution<int>(0, 3 * n)(rng);
-    std::uniform_int_distribution<int> node(0, n - 1);
-    std::uniform_real_distribution<double> weight(0.0, 1.0);
-    for (int e = 0; e < edges; ++e) {
-      const int a = node(rng);
-      const int b = node(rng);
-      const double w = rng() % 8 == 0 ? 0.0 : weight(rng) * scale;
-      g.add_edge(a, b, w);
-      if (rng() % 6 == 0) g.add_edge(rng() % 2 == 0 ? a : b, rng() % 2 == 0 ? a : b, w);
-    }
+    auto g = std::make_shared<const graph::Digraph>(random_graph(rng, kWeightScales[i % 4]));
+    const auto n = static_cast<int>(g->node_count());
     partition::KwayOptions kopts;
     // Every block count up to n occurs, but pairwise refinement costs
     // O(k^2) passes, so three graphs in four stay at k <= 8.
@@ -418,34 +437,96 @@ std::vector<PartitionProblem> random_problems(std::size_t count) {
     kopts.seed = static_cast<unsigned>(rng() % 1000);
     out.push_back({"random graph " + std::to_string(i) + " n " + std::to_string(n) +
                        " k " + std::to_string(kopts.blocks),
-                   std::move(g), kopts});
+                   std::move(g), kopts, i});
   }
   return out;
 }
 
-/// Runs both partitioners on every problem, four threads at a time;
-/// returns the number that differ in blocks, cut bits or feasibility and
-/// reports the first few.
+/// Seeded random graphs, each partitioned for every block count 1..n under
+/// no cap, the tightest cap that fits and a looser one: one group per
+/// graph, so every problem of a graph goes through one shared memo.
+std::vector<PartitionProblem> random_memo_problems(std::size_t graphs) {
+  std::vector<PartitionProblem> out;
+  std::mt19937 rng(27182);
+  for (std::size_t i = 0; i < graphs; ++i) {
+    const auto g =
+        std::make_shared<const graph::Digraph>(random_graph(rng, kWeightScales[i % 4]));
+    const auto n = static_cast<int>(g->node_count());
+    const auto seed = static_cast<unsigned>(rng() % 1000);
+    for (int k = 1; k <= n; ++k) {
+      const std::size_t tight = (static_cast<std::size_t>(n) + static_cast<std::size_t>(k) - 1) /
+                                static_cast<std::size_t>(k);
+      for (const std::size_t cap : {std::size_t{0}, tight, tight + 1 + rng() % 2}) {
+        partition::KwayOptions kopts;
+        kopts.blocks = k;
+        kopts.max_block_size = cap;
+        kopts.seed = seed;
+        out.push_back({"random graph " + std::to_string(i) + " n " + std::to_string(n) +
+                           " k " + std::to_string(k) + " cap " + std::to_string(cap),
+                       g, kopts, i});
+      }
+    }
+  }
+  return out;
+}
+
+/// Partitions every problem with the oracle and through its group's shared
+/// memo (kway_mincut() for a group of one), four threads at a time; returns
+/// the number that differ in blocks, cut bits or feasibility and reports
+/// the first few. The groups run in a seeded shuffled order and so do the
+/// problems within each group, a group's problems back to back: the four
+/// threads share its memo at once, and the memo is dropped after its last
+/// problem.
 std::size_t partition_mismatches(const std::vector<PartitionProblem>& problems,
                                  bool require_feasible) {
   struct Verdict {
     bool same = false;
     bool feasible = false;
+    partition::PartitionResult head;
   };
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    const std::size_t g = problems[i].group;
+    if (g >= groups.size()) groups.resize(g + 1);
+    groups[g].push_back(i);
+  }
+  std::vector<std::unique_ptr<partition::KwayMemo>> memos(groups.size());
+  std::vector<std::atomic<std::size_t>> remaining(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    remaining[g] = groups[g].size();
+    if (groups[g].size() > 1) {
+      const PartitionProblem& p = problems[groups[g].front()];
+      memos[g] = std::make_unique<partition::KwayMemo>(*p.graph, p.options);
+    }
+  }
+  std::mt19937 shuffle_rng(4711);
+  std::shuffle(groups.begin(), groups.end(), shuffle_rng);
+  std::vector<std::size_t> order;
+  order.reserve(problems.size());
+  for (std::vector<std::size_t>& g : groups) {
+    std::shuffle(g.begin(), g.end(), shuffle_rng);
+    order.insert(order.end(), g.begin(), g.end());
+  }
   std::vector<Verdict> verdicts(problems.size());
   std::atomic<std::size_t> next{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&] {
-      for (std::size_t i; (i = next.fetch_add(1)) < problems.size();) {
+      for (std::size_t j; (j = next.fetch_add(1)) < order.size();) {
+        const std::size_t i = order[j];
         const PartitionProblem& p = problems[i];
-        const partition::PartitionResult head = partition::kway_mincut(p.graph, p.options);
-        const partition::PartitionResult ref = reference::kway_mincut(p.graph, p.options);
+        partition::PartitionResult head =
+            memos[p.group] != nullptr
+                ? memos[p.group]->partition(p.options.blocks, p.options.max_block_size)
+                : partition::kway_mincut(*p.graph, p.options);
+        const partition::PartitionResult ref = reference::kway_mincut(*p.graph, p.options);
         verdicts[i].same = head.block_of == ref.block_of && head.blocks == ref.blocks &&
                            std::bit_cast<std::uint64_t>(head.cut_weight) ==
                                std::bit_cast<std::uint64_t>(ref.cut_weight) &&
                            head.feasible == ref.feasible;
         verdicts[i].feasible = ref.feasible;
+        if (!verdicts[i].same) verdicts[i].head = std::move(head);
+        if (remaining[p.group].fetch_sub(1) == 1) memos[p.group].reset();
       }
     });
   }
@@ -455,11 +536,10 @@ std::size_t partition_mismatches(const std::vector<PartitionProblem>& problems,
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const PartitionProblem& p = problems[i];
     if (!verdicts[i].same && ++mismatches <= 5) {
-      const partition::PartitionResult head = partition::kway_mincut(p.graph, p.options);
-      const partition::PartitionResult ref = reference::kway_mincut(p.graph, p.options);
-      ADD_FAILURE() << p.where << ": cut " << head.cut_weight << " vs oracle "
-                    << ref.cut_weight << ", feasible " << head.feasible << " vs "
-                    << ref.feasible;
+      const partition::PartitionResult ref = reference::kway_mincut(*p.graph, p.options);
+      ADD_FAILURE() << p.where << ": cut " << verdicts[i].head.cut_weight << " vs oracle "
+                    << ref.cut_weight << ", feasible " << verdicts[i].head.feasible
+                    << " vs " << ref.feasible;
     }
     if (require_feasible) {
       EXPECT_TRUE(verdicts[i].feasible) << p.where;
@@ -477,6 +557,17 @@ TEST(ReferencePartition, BenchmarkProblemsMatchOracle) {
 
 TEST(ReferencePartition, RandomGraphsMatchOracle) {
   const std::vector<PartitionProblem> problems = random_problems(20000);
+  EXPECT_EQ(partition_mismatches(problems, false), 0u)
+      << "of " << problems.size() << " problems";
+}
+
+TEST(ReferencePartition, SharedMemoMatchesOracle) {
+  // Every block count and three caps per graph, in shuffled order on four
+  // threads, through one memo per graph: a memo key that misses an input
+  // of the memoised step (the draw position, the slack, the pair's side
+  // bounds) hands one problem another's result.
+  const std::vector<PartitionProblem> problems = random_memo_problems(1000);
+  ASSERT_GT(problems.size(), 40000u);
   EXPECT_EQ(partition_mismatches(problems, false), 0u)
       << "of " << problems.size() << " problems";
 }

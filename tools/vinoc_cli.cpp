@@ -498,9 +498,10 @@ int cmd_sweep(const Args& args, const soc::SocSpec& spec) {
   // Every counter of the --json width_sweep_stats record, same names and
   // values — both surfaces read the same registry.
   std::printf(
-      "sharing: %lld width classes, %lld partition-cache hits, peak %lld "
-      "buffered outcomes\n",
+      "sharing: %lld width classes, %lld partition-cache hits, %lld "
+      "bisections, %lld pair refinements, peak %lld buffered outcomes\n",
       counter("width_classes"), counter("partition_cache_hits"),
+      counter("partition_bisections"), counter("partition_pair_refinements"),
       counter("peak_buffered_outcomes"));
   std::printf(
       "delta: %lld candidates replayed, %lld flows reused, %lld rerouted "
